@@ -1,6 +1,8 @@
 #include "common/rng.hpp"
 
+#include <bit>
 #include <cmath>
+#include <numbers>
 
 namespace vdc {
 namespace {
@@ -13,10 +15,6 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-constexpr std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 void Rng::reseed(std::uint64_t seed) {
@@ -25,38 +23,6 @@ void Rng::reseed(std::uint64_t seed) {
   // xoshiro must not start from the all-zero state; splitmix64 of any seed
   // cannot produce four zero words, but keep the guard for clarity.
   if (s_[0] == 0 && s_[1] == 0 && s_[2] == 0 && s_[3] == 0) s_[0] = 1;
-}
-
-std::uint64_t Rng::next() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform() {
-  // 53 high bits -> double in [0, 1).
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-double Rng::uniform(double lo, double hi) {
-  VDC_ASSERT(lo <= hi);
-  return lo + (hi - lo) * uniform();
-}
-
-std::uint64_t Rng::uniform_u64(std::uint64_t n) {
-  VDC_ASSERT(n > 0);
-  // Lemire-style rejection to remove modulo bias.
-  const std::uint64_t threshold = (~n + 1) % n;  // (2^64 - n) mod n
-  for (;;) {
-    const std::uint64_t r = next();
-    if (r >= threshold) return r % n;
-  }
 }
 
 double Rng::exponential(double rate) {
@@ -76,14 +42,14 @@ double Rng::normal(double mean, double stddev) {
   double u2 = uniform();
   if (u1 <= 0.0) u1 = 0x1.0p-53;
   const double mag = std::sqrt(-2.0 * std::log(u1));
-  return mean + stddev * mag * std::cos(2.0 * M_PI * u2);
+  return mean + stddev * mag * std::cos(2.0 * std::numbers::pi * u2);
 }
 
 Rng Rng::fork() {
   // Use two draws to derive an independent child seed.
   const std::uint64_t a = next();
   const std::uint64_t b = next();
-  return Rng(a ^ rotl(b, 29) ^ 0xd1b54a32d192ed03ull);
+  return Rng(a ^ std::rotl(b, 29) ^ 0xd1b54a32d192ed03ull);
 }
 
 }  // namespace vdc

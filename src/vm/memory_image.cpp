@@ -55,22 +55,26 @@ void MemoryImage::write_page(PageIndex i, std::span<const std::byte> bytes) {
 void MemoryImage::fill_random(Rng& rng, double zero_fraction) {
   VDC_REQUIRE(zero_fraction >= 0.0 && zero_fraction <= 1.0,
               "zero fraction must be in [0, 1]");
+  // Draw through a local copy: stores into the byte image could alias the
+  // caller's generator, which would force a state reload on every word.
+  Rng local = rng;
   for (PageIndex p = 0; p < page_count_; ++p) {
     std::byte* page = data_.data() + p * page_size_;
-    if (rng.chance(zero_fraction)) {
+    if (local.chance(zero_fraction)) {
       std::memset(page, 0, page_size_);
       continue;
     }
     // Fill with 64-bit chunks of PRNG output; deterministic given the rng.
     std::size_t off = 0;
     while (off + 8 <= page_size_) {
-      const std::uint64_t v = rng.next();
+      const std::uint64_t v = local.next();
       std::memcpy(page + off, &v, 8);
       off += 8;
     }
     for (; off < page_size_; ++off)
-      page[off] = static_cast<std::byte>(rng.next() & 0xff);
+      page[off] = static_cast<std::byte>(local.next() & 0xff);
   }
+  rng = local;
   mark_all_dirty();
 }
 

@@ -13,13 +13,18 @@ namespace {
 // to change checkpoint content without the cost of rewriting whole pages.
 constexpr std::size_t kWriteSpan = 64;
 
+// Costs kWriteSpan draws for the bytes plus one for the offset (two more
+// pick the page in HotColdWorkload). The bytes are drawn through a local
+// copy of the generator so the stores into `buf` cannot alias its state.
 void mutate_page(MemoryImage& image, PageIndex page, Rng& rng) {
   std::byte buf[kWriteSpan];
-  for (auto& b : buf) b = static_cast<std::byte>(rng.next() & 0xff);
+  Rng local = rng;
+  for (auto& b : buf) b = static_cast<std::byte>(local.next() & 0xff);
   const std::size_t span =
       std::min<std::size_t>(kWriteSpan, image.page_size());
   const std::size_t max_off = image.page_size() - span;
-  const std::size_t off = max_off ? rng.uniform_u64(max_off + 1) : 0;
+  const std::size_t off = max_off ? local.uniform_u64(max_off + 1) : 0;
+  rng = local;
   image.write(page, off, {buf, span});
 }
 

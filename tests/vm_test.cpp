@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
 
+#include "migration/pagehash.hpp"
 #include "vm/machine.hpp"
 #include "vm/memory_image.hpp"
 #include "vm/workload.hpp"
@@ -82,6 +84,30 @@ TEST(MemoryImage, SparseFillLeavesZeroPages) {
   EXPECT_GT(zero_pages, 400u);
   EXPECT_LT(zero_pages, 600u);
   EXPECT_THROW(img.fill_random(rng, 1.5), ConfigError);
+}
+
+// Golden image digests (FNV-1a 64 via page_hash) and the caller
+// generator's next word after a bulk fill. The fill draws through a local
+// copy of the generator; the next-word check fails if that copy is never
+// written back.
+TEST(MemoryImage, FillRandomGoldenAndWritesBackRng) {
+  struct Case {
+    double zero_fraction;
+    std::uint64_t digest;
+    std::uint64_t next_word;
+  };
+  const Case cases[] = {
+      {0.0, 0x1e54178e289af678ull, 0xf1d4391adb3f6e0dull},
+      {0.3, 0x1a7bf6254d2ce85full, 0xfdcdb0172a46c047ull}};
+  for (const Case& c : cases) {
+    MemoryImage img(4096, 128);
+    Rng rng(7);
+    img.fill_random(rng, c.zero_fraction);
+    SCOPED_TRACE(c.zero_fraction);
+    EXPECT_EQ(migration::page_hash(img.bytes()), c.digest);
+    EXPECT_EQ(rng.next(), c.next_word);
+    EXPECT_EQ(img.dirty_count(), 128u);
+  }
 }
 
 TEST(MemoryImage, RestoreReplacesContent) {
@@ -173,6 +199,35 @@ TEST(Workload, HotColdConcentratesWrites) {
   }
   EXPECT_EQ(hot, 100u);  // hot set saturates
   EXPECT_LT(cold, 450u); // ~500 cold writes over 900 pages
+}
+
+// Same pins for guest writes, whose bytes are also drawn through a local
+// generator copy.
+TEST(Workload, HotColdGoldenAndWritesBackRng) {
+  MemoryImage img(4096, 128);
+  Rng rng(11);
+  HotColdWorkload w(500.0, 0.1, 0.9);
+  w.advance(img, 1.0, rng);  // 500 writes
+  EXPECT_EQ(migration::page_hash(img.bytes()), 0x8af2dced19b0719aull);
+  EXPECT_EQ(rng.next(), 0xb624f549da44e9d8ull);
+  EXPECT_EQ(img.dirty_count(), 52u);
+  // A page written once reports exactly that 64-byte span as its extent.
+  EXPECT_EQ(img.dirty_pages().back(), 127u);
+  EXPECT_EQ(img.dirty_extent(127),
+            (std::pair<std::size_t, std::size_t>{1611, 1675}));
+}
+
+TEST(Workload, UniformGoldenAndWritesBackRng) {
+  MemoryImage img(1024, 16);
+  Rng rng(13);
+  UniformWorkload w(100.0);
+  w.advance(img, 0.5, rng);  // 50 writes
+  EXPECT_EQ(migration::page_hash(img.bytes()), 0x906cc653734d8d1dull);
+  EXPECT_EQ(rng.next(), 0x247f157eb0e56f90ull);
+  EXPECT_EQ(img.dirty_count(), 15u);
+  // Page 0 took several writes: its extent is their union.
+  EXPECT_EQ(img.dirty_extent(0),
+            (std::pair<std::size_t, std::size_t>{184, 577}));
 }
 
 TEST(Workload, SequentialWalksInOrder) {
