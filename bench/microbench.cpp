@@ -17,10 +17,12 @@
 #include "parity/kernels.hpp"
 #include "parity/parallel.hpp"
 #include "core/protocol.hpp"
+#include "net/flow_network.hpp"
 #include "parity/raid5.hpp"
 #include "parity/rdp.hpp"
 #include "parity/reed_solomon.hpp"
 #include "parity/xor.hpp"
+#include "simkit/simulator.hpp"
 #include "vm/memory_image.hpp"
 #include "vm/workload.hpp"
 
@@ -121,6 +123,26 @@ void BM_RleEncodeSparse(benchmark::State& state) {
                           4096);
 }
 BENCHMARK(BM_RleEncodeSparse);
+
+// One delta record at the fast plane's shape: a 4 KiB arena that is zero
+// outside a nonzero write extent of Arg bytes (64 B, 512 B, 4 KiB), priced
+// and encoded as min(RLE, trim). Items are records.
+void BM_EncodeRecord(benchmark::State& state) {
+  const auto extent = static_cast<std::size_t>(state.range(0));
+  std::vector<std::byte> arena(4096, std::byte{0});
+  Rng rng(8);
+  const std::size_t lo = (arena.size() - extent) / 2;
+  for (std::size_t i = lo; i < lo + extent; ++i)
+    arena[i] = static_cast<std::byte>(rng.next() | 1);
+  for (auto _ : state) {
+    auto rec = vdc::checkpoint::encode_record(arena);
+    benchmark::DoNotOptimize(rec.bytes.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(arena.size()));
+}
+BENCHMARK(BM_EncodeRecord)->ArgName("extent")->Arg(64)->Arg(512)->Arg(4096);
 
 void BM_DiffImages(benchmark::State& state) {
   const std::size_t bytes = 1 << 22;  // 4 MiB image
@@ -536,6 +558,38 @@ void BM_DeltaIngest(benchmark::State& state) {
                           static_cast<std::int64_t>(frame.size()));
 }
 BENCHMARK(BM_DeltaIngest)->ArgName("dirty_pm")->Arg(10)->Arg(100);
+
+// Flow-solver churn at the rebuild_rs shape: 64 hosts ({tx, rx} NIC pairs,
+// 128 ports) carrying 256 flows that chain into one component. Each
+// iteration cancels one flow and starts another, so each re-solves the
+// whole component twice. Items are flows re-solved.
+void BM_FlowSolveComponent(benchmark::State& state) {
+  vdc::simkit::Simulator sim;
+  vdc::net::FlowNetwork fn(sim);
+  constexpr std::size_t kHosts = 64;
+  std::vector<vdc::net::PortId> tx, rx;
+  for (std::size_t h = 0; h < kHosts; ++h) {
+    tx.push_back(fn.add_port(1.25e9));
+    rx.push_back(fn.add_port(1.25e9));
+  }
+  Rng rng(9);
+  const auto start = [&] {
+    const std::size_t src = rng.uniform_u64(kHosts);
+    const std::size_t dst = (src + 1 + rng.uniform_u64(kHosts - 1)) % kHosts;
+    return fn.start_flow({tx[src], rx[dst]}, 1ull << 30, [] {});
+  };
+  std::vector<vdc::net::FlowId> live;
+  for (int i = 0; i < 256; ++i) live.push_back(start());
+  const std::uint64_t solved_before = fn.solver_flows_solved();
+  for (auto _ : state) {
+    const std::size_t victim = rng.uniform_u64(live.size());
+    fn.cancel_flow(live[victim]);
+    live[victim] = start();
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(fn.solver_flows_solved() - solved_before));
+}
+BENCHMARK(BM_FlowSolveComponent);
 
 // Guest-write synthesis at the batch_fig5 shape: HotCold(500 writes/s,
 // 10% hot, 90% of writes hot) on a 128 x 4 KiB image. One iteration is one

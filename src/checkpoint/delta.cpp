@@ -59,16 +59,13 @@ void apply_delta(std::vector<std::byte>& base, const PageDelta& delta) {
 
 EncodedRecord encode_record(std::span<const std::byte> x) {
   EncodedRecord rec;
-  std::size_t trim = x.size();
-  while (trim > 0 && x[trim - 1] == std::byte{0}) --trim;
+  const std::size_t trim = trim_length(x);
   rec.trim_len = static_cast<std::uint32_t>(trim);
-  if (rle_encoded_size(x) <= trim) {
-    rec.bytes = rle_encode(x);
-    rec.raw = false;
-  } else {
-    rec.bytes.assign(x.begin(), x.begin() + static_cast<std::ptrdiff_t>(trim));
-    rec.raw = true;
-  }
+  // Ties go to RLE: it is kept whenever it fits in trim bytes.
+  rec.raw = !rle_encode_within(x, trim, rec.bytes);
+  if (rec.raw)
+    rec.bytes = std::vector<std::byte>(
+        x.begin(), x.begin() + static_cast<std::ptrdiff_t>(trim));
   return rec;
 }
 

@@ -1,6 +1,8 @@
 #include "checkpoint/rle.hpp"
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 
 #include "common/assert.hpp"
 
@@ -38,36 +40,102 @@ std::size_t varint_size(std::uint64_t v) {
   return n;
 }
 
-// Shared run scanner: calls emit(zeros, lit_start, lit_len) for each
-// zero-run/literal-run record, exactly as rle_encode lays them out.
-template <typename Emit>
-void scan_runs(std::span<const std::byte> data, Emit&& emit) {
-  std::size_t i = 0;
-  while (i < data.size()) {
-    // Count the zero run.
-    std::size_t zeros = 0;
-    while (i + zeros < data.size() && data[i + zeros] == std::byte{0})
-      ++zeros;
-    // Count the literal run that follows. A literal run ends at a zero run
-    // long enough (>= 4) to be worth a record boundary.
-    std::size_t lit_start = i + zeros;
-    std::size_t lit_len = 0;
-    std::size_t scan = lit_start;
-    while (scan < data.size()) {
-      if (data[scan] == std::byte{0}) {
-        std::size_t z = 0;
-        while (scan + z < data.size() && data[scan + z] == std::byte{0}) ++z;
-        if (z >= 4 || scan + z == data.size()) break;
-        scan += z;
-        lit_len += z;
-      } else {
-        ++scan;
-        ++lit_len;
-      }
-    }
-    emit(zeros, lit_start, lit_len);
-    i = lit_start + lit_len;
+// Word-at-a-time scanning maps byte k of a loaded word to bit 8k; other
+// byte orders fall through to the byte loops.
+constexpr bool kWordScan = std::endian::native == std::endian::little;
+constexpr std::uint64_t kLowBits = 0x0101010101010101ull;
+constexpr std::uint64_t kHighBits = 0x8080808080808080ull;
+
+std::uint64_t load_word(const std::byte* p) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+std::uint64_t zero_bytes(std::uint64_t v) {
+  return (v - kLowBits) & ~v & kHighBits;
+}
+
+// First nonzero byte in [i, n), or n. Skips zero words whole, four at a
+// time while it can.
+std::size_t next_nonzero(const std::byte* d, std::size_t i, std::size_t n) {
+  if constexpr (kWordScan) {
+    for (; i + 32 <= n; i += 32)
+      if ((load_word(d + i) | load_word(d + i + 8) | load_word(d + i + 16) |
+           load_word(d + i + 24)) != 0)
+        break;
+    for (; i + 8 <= n; i += 8)
+      if (const std::uint64_t v = load_word(d + i); v != 0)
+        return i + static_cast<std::size_t>(std::countr_zero(v)) / 8;
   }
+  while (i < n && d[i] == std::byte{0}) ++i;
+  return i;
+}
+
+// First zero byte in [i, n), or n. The has-zero-byte trick flags every
+// zero byte of a word; its lowest flag is exact (a borrow can only
+// produce false flags above a true zero byte).
+std::size_t next_zero(const std::byte* d, std::size_t i, std::size_t n) {
+  if constexpr (kWordScan) {
+    for (; i + 32 <= n; i += 32)
+      if ((zero_bytes(load_word(d + i)) | zero_bytes(load_word(d + i + 8)) |
+           zero_bytes(load_word(d + i + 16)) |
+           zero_bytes(load_word(d + i + 24))) != 0)
+        break;
+    for (; i + 8 <= n; i += 8)
+      if (const std::uint64_t z = zero_bytes(load_word(d + i)); z != 0)
+        return i + static_cast<std::size_t>(std::countr_zero(z)) / 8;
+  }
+  while (i < n && d[i] != std::byte{0}) ++i;
+  return i;
+}
+
+// Shared run scanner: calls emit(zeros, lit_start, lit_len) for each
+// zero-run/literal-run record, exactly as rle_encode lays them out, until
+// emit returns false. Returns whether the whole buffer was scanned.
+//
+// Record layout: a zero run, then a literal run that ends at the first
+// zero run long enough (>= 4) to be worth a record boundary, or at a zero
+// run that reaches the end of the buffer (which becomes a final record of
+// zeros alone).
+template <typename Emit>
+bool scan_runs(std::span<const std::byte> data, Emit&& emit) {
+  const std::byte* d = data.data();
+  const std::size_t n = data.size();
+  std::size_t i = 0;
+  std::size_t lit_start = next_nonzero(d, 0, n);
+  while (i < n) {
+    std::size_t lit_end = n;
+    std::size_t next_lit = n;
+    for (std::size_t scan = lit_start; scan < n;) {
+      const std::size_t z0 = next_zero(d, scan, n);
+      if (z0 == n) break;
+      const std::size_t z1 = next_nonzero(d, z0, n);
+      if (z1 - z0 >= 4 || z1 == n) {
+        lit_end = z0;
+        next_lit = z1;
+        break;
+      }
+      scan = z1;
+    }
+    if (!emit(lit_start - i, lit_start, lit_end - lit_start)) return false;
+    i = lit_end;
+    lit_start = next_lit;
+  }
+  return true;
+}
+
+std::size_t record_size(std::size_t zeros, std::size_t lit_len) {
+  return varint_size(zeros) + varint_size(lit_len) + lit_len;
+}
+
+void put_record(std::vector<std::byte>& out, std::span<const std::byte> data,
+                std::size_t zeros, std::size_t lit_start,
+                std::size_t lit_len) {
+  put_varint(out, zeros);
+  put_varint(out, lit_len);
+  out.insert(out.end(), data.begin() + static_cast<std::ptrdiff_t>(lit_start),
+             data.begin() + static_cast<std::ptrdiff_t>(lit_start + lit_len));
 }
 
 }  // namespace
@@ -77,21 +145,47 @@ std::vector<std::byte> rle_encode(std::span<const std::byte> data) {
   out.reserve(data.size() / 8 + 16);
   scan_runs(data, [&](std::size_t zeros, std::size_t lit_start,
                       std::size_t lit_len) {
-    put_varint(out, zeros);
-    put_varint(out, lit_len);
-    out.insert(out.end(), data.begin() + static_cast<std::ptrdiff_t>(lit_start),
-               data.begin() + static_cast<std::ptrdiff_t>(lit_start + lit_len));
+    put_record(out, data, zeros, lit_start, lit_len);
+    return true;
   });
   return out;
 }
 
 std::size_t rle_encoded_size(std::span<const std::byte> data) {
   std::size_t total = 0;
-  scan_runs(data,
-            [&](std::size_t zeros, std::size_t, std::size_t lit_len) {
-              total += varint_size(zeros) + varint_size(lit_len) + lit_len;
-            });
+  scan_runs(data, [&](std::size_t zeros, std::size_t, std::size_t lit_len) {
+    total += record_size(zeros, lit_len);
+    return true;
+  });
   return total;
+}
+
+bool rle_encode_within(std::span<const std::byte> data, std::size_t limit,
+                       std::vector<std::byte>& out) {
+  out.clear();
+  out.reserve(data.size() / 8 + 16);
+  return scan_runs(data, [&](std::size_t zeros, std::size_t lit_start,
+                             std::size_t lit_len) {
+    if (out.size() + record_size(zeros, lit_len) > limit) return false;
+    put_record(out, data, zeros, lit_start, lit_len);
+    return true;
+  });
+}
+
+std::size_t trim_length(std::span<const std::byte> data) {
+  const std::byte* d = data.data();
+  std::size_t n = data.size();
+  if constexpr (kWordScan) {
+    for (; n >= 32; n -= 32)
+      if ((load_word(d + n - 32) | load_word(d + n - 24) |
+           load_word(d + n - 16) | load_word(d + n - 8)) != 0)
+        break;
+    for (; n >= 8; n -= 8)
+      if (const std::uint64_t v = load_word(d + n - 8); v != 0)
+        return n - static_cast<std::size_t>(std::countl_zero(v)) / 8;
+  }
+  while (n > 0 && d[n - 1] == std::byte{0}) --n;
+  return n;
 }
 
 std::vector<std::byte> rle_decode(std::span<const std::byte> encoded,

@@ -25,6 +25,17 @@ std::vector<std::byte> rle_encode(std::span<const std::byte> data);
 /// compressed sizes) with a single scan and zero copies.
 std::size_t rle_encoded_size(std::span<const std::byte> data);
 
+/// Encode `data` into `out` only if the encoding fits in `limit` bytes:
+/// returns true with `out` == rle_encode(data) (same bytes, same
+/// capacity) when rle_encoded_size(data) <= limit, and false — as soon as
+/// the output would outgrow `limit`, leaving `out` unspecified — otherwise.
+/// One scan prices and encodes a record.
+bool rle_encode_within(std::span<const std::byte> data, std::size_t limit,
+                       std::vector<std::byte>& out);
+
+/// Length of `data` through its last nonzero byte (0 if all zero).
+std::size_t trim_length(std::span<const std::byte> data);
+
 /// Decode an rle_encode() buffer; `expected_size` is the original length.
 /// Throws vdc::Error on malformed input.
 std::vector<std::byte> rle_decode(std::span<const std::byte> encoded,

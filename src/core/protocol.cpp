@@ -347,7 +347,7 @@ void DvdcCoordinator::capture_group_reference(
       }
     } else {
       contrib.wire = config_.compress_full
-                         ? checkpoint::rle_encode(payload).size() + 16
+                         ? checkpoint::rle_encoded_size(payload) + 16
                          : payload.size();
       contrib.xor_bytes = payload.size();
       metrics.add("dvdc.epoch.raw_dirty_bytes",

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <map>
+#include <unordered_set>
 #include <utility>
 
 #include "common/env.hpp"
@@ -25,11 +26,9 @@ constexpr double kDoneEpsilon = 0.5;
 constexpr double kShareFloorFraction = 1e-9;
 constexpr double kAbsoluteRateFloor = 1e-300;  // survives denormal caps
 
-double floored_share(double residual, std::uint32_t unfixed, double cap) {
-  const double share = residual / unfixed;
-  const double floor = std::max(cap * kShareFloorFraction,
-                                kAbsoluteRateFloor);
-  return std::max(share, floor);
+// `floor` is the port's max(cap * kShareFloorFraction, kAbsoluteRateFloor).
+double floored_share(double residual, std::uint32_t unfixed, double floor) {
+  return std::max(residual / unfixed, floor);
 }
 }  // namespace
 
@@ -46,6 +45,7 @@ PortId FlowNetwork::add_port(Rate capacity, std::string name) {
   port.cap = capacity;
   port.name = std::move(name);
   ports_.push_back(std::move(port));
+  local_port_.push_back(kNoLocal);
   return static_cast<PortId>(ports_.size() - 1);
 }
 
@@ -54,7 +54,7 @@ void FlowNetwork::set_capacity(PortId port, Rate capacity) {
   VDC_ASSERT(port < ports_.size());
   settle_progress();
   ports_[port].cap = capacity;
-  dirty_ports_.insert(port);
+  mark_dirty(std::span<const PortId>(&port, 1));
   resolve_rates();
   schedule_next_completion();
 }
@@ -79,8 +79,8 @@ FlowId FlowNetwork::start_flow(std::vector<PortId> path, Bytes bytes,
   for (PortId p : path) VDC_ASSERT(p < ports_.size());
   VDC_ASSERT(latency >= 0.0);
   const FlowId id = next_flow_id_++;
-  Flow flow{std::move(path), static_cast<double>(bytes),
-            0.0, std::move(on_complete), 0};
+  Flow flow{id, std::move(path), static_cast<double>(bytes), 0.0,
+            std::move(on_complete)};
 
   if (latency > 0.0) {
     auto ev = sim_.after(latency, [this, id, flow = std::move(flow)]() mutable {
@@ -106,8 +106,7 @@ void FlowNetwork::activate(FlowId id, Flow flow) {
   }
   settle_progress();
   mark_dirty(flow.path);
-  for (PortId p : flow.path) ports_[p].flows.insert(id);
-  flows_.emplace(id, std::move(flow));
+  link(flows_.emplace(id, std::move(flow)).first->second);
   resolve_rates();
   schedule_next_completion();
   notify_count();
@@ -124,7 +123,7 @@ bool FlowNetwork::cancel_flow(FlowId id) {
   if (it == flows_.end()) return false;
   settle_progress();
   mark_dirty(it->second.path);
-  for (PortId p : it->second.path) ports_[p].flows.erase(id);
+  unlink(it->second);
   flows_.erase(it);
   resolve_rates();
   schedule_next_completion();
@@ -153,156 +152,181 @@ void FlowNetwork::settle_progress() {
   }
 }
 
-void FlowNetwork::mark_dirty(const std::vector<PortId>& path) {
-  for (PortId p : path) dirty_ports_.insert(p);
+void FlowNetwork::mark_dirty(std::span<const PortId> ports) {
+  for (PortId p : ports) {
+    if (ports_[p].dirty) continue;
+    ports_[p].dirty = true;
+    dirty_ports_.push_back(p);
+  }
 }
 
-std::vector<FlowId> FlowNetwork::collect_component(
-    FlowId seed, std::unordered_set<FlowId>& seen,
-    std::unordered_set<PortId>& ports_seen) const {
-  std::vector<FlowId> component;
-  std::vector<FlowId> stack{seed};
-  seen.insert(seed);
-  while (!stack.empty()) {
-    const FlowId id = stack.back();
-    stack.pop_back();
-    component.push_back(id);
-    for (PortId p : flows_.at(id).path) {
-      if (!ports_seen.insert(p).second) continue;
-      for (FlowId other : ports_[p].flows)
-        if (seen.insert(other).second) stack.push_back(other);
+void FlowNetwork::link(Flow& flow) {
+  for (PortId p : flow.path) ports_[p].flows.push_back(&flow);
+}
+
+void FlowNetwork::unlink(Flow& flow) {
+  for (PortId p : flow.path) {
+    auto& on_port = ports_[p].flows;
+    auto it = std::find(on_port.begin(), on_port.end(), &flow);
+    VDC_ASSERT(it != on_port.end());
+    *it = on_port.back();
+    on_port.pop_back();
+  }
+  heap_erase(flow);
+}
+
+void FlowNetwork::collect_component(Flow* seed,
+                                    std::vector<Flow*>& component) {
+  // Breadth-first, with `component` itself as the queue.
+  component.assign(1, seed);
+  seed->seen = generation_;
+  for (std::size_t i = 0; i < component.size(); ++i) {
+    for (PortId p : component[i]->path) {
+      Port& port = ports_[p];
+      if (port.seen == generation_) continue;
+      port.seen = generation_;
+      for (Flow* other : port.flows) {
+        if (other->seen == generation_) continue;
+        other->seen = generation_;
+        component.push_back(other);
+      }
     }
   }
-  std::sort(component.begin(), component.end());
-  return component;
+  std::sort(component.begin(), component.end(),
+            [](const Flow* a, const Flow* b) { return a->id < b->id; });
 }
 
 std::vector<Rate> FlowNetwork::solve_component(
-    const std::vector<FlowId>& ids) const {
+    std::span<const Flow* const> flows) const {
   // Water-filling max-min fair allocation over one connected component.
-  // Pure: reads flow paths and port capacities only. Flow ids ascending
-  // and component ports ascending make every float op order-determined,
-  // which is what lets the incremental path match a full solve bitwise.
+  // Pure: reads flow paths and port capacities only. Flows are visited in
+  // ascending id order, so every float op on a port's residual happens in
+  // an order fixed by the component alone — which is what lets the
+  // incremental path match a full solve bitwise. A port's share is a pure
+  // function of its (residual, unfixed), so it is cached and recomputed
+  // only when one of those changes. The numbering of the component's
+  // ports is immaterial: no float op combines two ports.
+  //
+  // Each flow's path as component-local port indices, resolved once:
+  // flow fi crosses hops[first[fi]] .. hops[first[fi + 1] - 1].
   std::vector<PortId> cports;
-  for (FlowId id : ids)
-    for (PortId p : flows_.at(id).path) cports.push_back(p);
-  std::sort(cports.begin(), cports.end());
-  cports.erase(std::unique(cports.begin(), cports.end()), cports.end());
-  const auto local = [&](PortId p) {
-    return static_cast<std::size_t>(
-        std::lower_bound(cports.begin(), cports.end(), p) - cports.begin());
-  };
+  std::vector<std::uint32_t> hops;
+  std::vector<std::size_t> first(flows.size() + 1);
+  std::vector<std::uint32_t> unfixed;
+  for (std::size_t fi = 0; fi < flows.size(); ++fi) {
+    first[fi] = hops.size();
+    for (PortId p : flows[fi]->path) {
+      std::uint32_t& i = local_port_[p];
+      if (i == kNoLocal) {
+        i = static_cast<std::uint32_t>(cports.size());
+        cports.push_back(p);
+        unfixed.push_back(0);
+      }
+      hops.push_back(i);
+      ++unfixed[i];
+    }
+  }
+  first[flows.size()] = hops.size();
+  for (PortId p : cports) local_port_[p] = kNoLocal;
 
   std::vector<double> residual(cports.size());
-  std::vector<std::uint32_t> unfixed(cports.size(), 0);
-  for (std::size_t i = 0; i < cports.size(); ++i)
-    residual[i] = ports_[cports[i]].cap;
-  for (FlowId id : ids)
-    for (PortId p : flows_.at(id).path) ++unfixed[local(p)];
+  std::vector<double> floor(cports.size());
+  std::vector<double> share(cports.size());
+  for (std::size_t i = 0; i < cports.size(); ++i) {
+    const double cap = ports_[cports[i]].cap;
+    residual[i] = cap;
+    floor[i] = std::max(cap * kShareFloorFraction, kAbsoluteRateFloor);
+    share[i] = floored_share(residual[i], unfixed[i], floor[i]);
+  }
 
-  std::vector<char> fixed(ids.size(), 0);
-  std::vector<Rate> rates(ids.size(), 0.0);
-  std::size_t remaining_flows = ids.size();
-  while (remaining_flows > 0) {
+  // Unfixed flows, ascending; compacted as flows freeze.
+  std::vector<std::uint32_t> open(flows.size());
+  for (std::size_t fi = 0; fi < flows.size(); ++fi)
+    open[fi] = static_cast<std::uint32_t>(fi);
+  std::vector<Rate> rates(flows.size(), 0.0);
+  while (!open.empty()) {
     // Find the port giving the smallest fair share among loaded ports.
     double best_share = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < cports.size(); ++i) {
-      if (unfixed[i] == 0) continue;
-      const double share =
-          floored_share(residual[i], unfixed[i], ports_[cports[i]].cap);
-      best_share = std::min(best_share, share);
-    }
+    for (std::size_t i = 0; i < cports.size(); ++i)
+      if (unfixed[i] != 0) best_share = std::min(best_share, share[i]);
     VDC_ASSERT(std::isfinite(best_share));
     VDC_ASSERT_MSG(best_share > 0.0, "water-filling share underflowed");
 
     // Freeze every unfixed flow crossing a port that is saturated at
     // best_share (within numerical tolerance).
-    bool froze_any = false;
-    for (std::size_t fi = 0; fi < ids.size(); ++fi) {
-      if (fixed[fi]) continue;
-      const Flow& f = flows_.at(ids[fi]);
+    const double saturated = best_share * (1.0 + 1e-12);
+    std::size_t kept = 0;
+    for (const std::uint32_t fi : open) {
       bool bottlenecked = false;
-      for (PortId p : f.path) {
-        const std::size_t i = local(p);
-        const double share =
-            floored_share(residual[i], unfixed[i], ports_[cports[i]].cap);
-        if (share <= best_share * (1.0 + 1e-12)) {
+      for (std::size_t h = first[fi]; h < first[fi + 1]; ++h) {
+        if (share[hops[h]] <= saturated) {
           bottlenecked = true;
           break;
         }
       }
-      if (!bottlenecked) continue;
+      if (!bottlenecked) {
+        open[kept++] = fi;
+        continue;
+      }
       rates[fi] = best_share;
-      fixed[fi] = 1;
-      froze_any = true;
-      --remaining_flows;
-      for (PortId p : f.path) {
-        const std::size_t i = local(p);
+      for (std::size_t h = first[fi]; h < first[fi + 1]; ++h) {
+        const std::uint32_t i = hops[h];
         residual[i] -= best_share;
         if (residual[i] < 0.0) residual[i] = 0.0;
-        --unfixed[i];
+        if (--unfixed[i] != 0)
+          share[i] = floored_share(residual[i], unfixed[i], floor[i]);
       }
     }
-    VDC_ASSERT_MSG(froze_any, "water-filling failed to make progress");
+    VDC_ASSERT_MSG(kept < open.size(),
+                   "water-filling failed to make progress");
+    open.resize(kept);
   }
   return rates;
 }
 
-void FlowNetwork::apply_rates(const std::vector<FlowId>& ids,
+void FlowNetwork::apply_rates(const std::vector<Flow*>& flows,
                               const std::vector<Rate>& rates) {
   ++solver_solves_;
-  solver_flows_solved_ += ids.size();
+  solver_flows_solved_ += flows.size();
   const SimTime now = sim_.now();
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    Flow& f = flows_.at(ids[i]);
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    Flow& f = *flows[i];
     f.rate = rates[i];
     VDC_ASSERT_MSG(f.rate > 0.0, "active flow with zero rate");
-    ++f.stamp;
-    completions_.push(Completion{now + f.remaining / f.rate, ids[i], f.stamp});
+    heap_set(f, now + f.remaining / f.rate);
   }
 }
 
 void FlowNetwork::resolve_rates() {
+  // Components are disjoint and each solve reads only its own flows and
+  // ports, so the order components are solved in (and which of its flows
+  // seeds one) cannot change any rate.
+  ++generation_;
+  std::vector<Flow*> component;
   if (!incremental_) {
     // Full solve: decompose the whole population into components and
     // re-solve each from scratch (the oracle as the live path).
+    for (PortId p : dirty_ports_) ports_[p].dirty = false;
     dirty_ports_.clear();
-    if (flows_.empty()) return;
-    std::vector<FlowId> ids;
-    ids.reserve(flows_.size());
-    for (auto& [id, f] : flows_) ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
-    std::unordered_set<FlowId> seen;
-    std::unordered_set<PortId> ports_seen;
-    for (FlowId id : ids) {
-      if (seen.count(id)) continue;
-      const auto component = collect_component(id, seen, ports_seen);
+    for (auto& [id, f] : flows_) {
+      if (f.seen == generation_) continue;
+      collect_component(&f, component);
       apply_rates(component, solve_component(component));
     }
     return;
   }
 
-  if (dirty_ports_.empty()) return;
-  // Re-solve only the connected components the dirty ports belong to.
-  std::vector<PortId> dirty(dirty_ports_.begin(), dirty_ports_.end());
-  std::sort(dirty.begin(), dirty.end());
-  dirty_ports_.clear();
-  std::unordered_set<FlowId> seen;
-  std::unordered_set<PortId> ports_seen;
-  for (PortId p : dirty) {
-    // collect_component owns ports_seen: a port already absorbed into an
-    // earlier component (or flowless) is skipped, but an untouched dirty
-    // port must stay unmarked so the BFS enumerates its flows.
-    if (ports_seen.count(p) != 0) continue;
-    std::vector<FlowId> on_port(ports_[p].flows.begin(),
-                                ports_[p].flows.end());
-    std::sort(on_port.begin(), on_port.end());
-    for (FlowId f : on_port) {
-      if (seen.count(f)) continue;
-      const auto component = collect_component(f, seen, ports_seen);
-      apply_rates(component, solve_component(component));
-    }
+  // Re-solve only the connected components the dirty ports belong to. A
+  // port already absorbed into an earlier component (or flowless) is
+  // skipped.
+  for (PortId p : dirty_ports_) {
+    Port& port = ports_[p];
+    port.dirty = false;
+    if (port.seen == generation_ || port.flows.empty()) continue;
+    collect_component(port.flows.front(), component);
+    apply_rates(component, solve_component(component));
   }
+  dirty_ports_.clear();
 }
 
 std::vector<std::pair<FlowId, Rate>> FlowNetwork::oracle_rates() const {
@@ -338,7 +362,10 @@ std::vector<std::pair<FlowId, Rate>> FlowNetwork::oracle_rates() const {
       }
     }
     std::sort(component.begin(), component.end());
-    const auto rates = solve_component(component);
+    std::vector<const Flow*> members;
+    members.reserve(component.size());
+    for (FlowId id : component) members.push_back(&flows_.at(id));
+    const auto rates = solve_component(members);
     for (std::size_t i = 0; i < component.size(); ++i)
       out.emplace_back(component[i], rates[i]);
   }
@@ -346,27 +373,56 @@ std::vector<std::pair<FlowId, Rate>> FlowNetwork::oracle_rates() const {
   return out;
 }
 
+void FlowNetwork::heap_set(Flow& flow, SimTime at) {
+  if (flow.heap_slot == kNoSlot) {
+    completions_.emplace_back();
+    heap_fix(completions_.size() - 1, Completion{at, flow.id, &flow});
+  } else {
+    heap_fix(flow.heap_slot, Completion{at, flow.id, &flow});
+  }
+}
+
+void FlowNetwork::heap_erase(Flow& flow) {
+  const std::size_t slot = flow.heap_slot;
+  if (slot == kNoSlot) return;
+  flow.heap_slot = kNoSlot;
+  const Completion last = completions_.back();
+  completions_.pop_back();
+  if (slot < completions_.size()) heap_fix(slot, last);
+}
+
+void FlowNetwork::heap_fix(std::size_t slot, Completion c) {
+  const auto place = [this](std::size_t at, const Completion& e) {
+    completions_[at] = e;
+    e.flow->heap_slot = at;
+  };
+  // Sift up past larger parents, else down past smaller children.
+  while (slot > 0 && c < completions_[(slot - 1) / 2]) {
+    place(slot, completions_[(slot - 1) / 2]);
+    slot = (slot - 1) / 2;
+  }
+  for (;;) {
+    std::size_t child = 2 * slot + 1;
+    if (child >= completions_.size()) break;
+    if (child + 1 < completions_.size() &&
+        completions_[child + 1] < completions_[child])
+      ++child;
+    if (!(completions_[child] < c)) break;
+    place(slot, completions_[child]);
+    slot = child;
+  }
+  place(slot, c);
+}
+
 void FlowNetwork::schedule_next_completion() {
   if (timer_ != simkit::kInvalidEvent) {
     sim_.cancel(timer_);
     timer_ = simkit::kInvalidEvent;
   }
-  // Drop stale completion entries (finished/cancelled flows, superseded
-  // rates) off the top.
-  while (!completions_.empty()) {
-    const Completion& top = completions_.top();
-    auto it = flows_.find(top.id);
-    if (it == flows_.end() || it->second.stamp != top.stamp) {
-      completions_.pop();
-      continue;
-    }
-    break;
-  }
-  if (completions_.empty()) {
-    VDC_ASSERT_MSG(flows_.empty(), "active flow without a completion entry");
-    return;
-  }
-  const SimTime dt = std::max(0.0, completions_.top().at - sim_.now());
+  VDC_ASSERT_MSG(completions_.size() == flows_.size(),
+                 "active flow without a completion entry");
+  if (completions_.empty()) return;
+  const SimTime dt = std::max(0.0, completions_.front().at - sim_.now());
   timer_ = sim_.after(dt, [this] { on_timer(); });
 }
 
@@ -390,7 +446,7 @@ void FlowNetwork::on_timer() {
   for (FlowId id : done) {
     auto it = flows_.find(id);
     mark_dirty(it->second.path);
-    for (PortId p : it->second.path) ports_[p].flows.erase(id);
+    unlink(it->second);
     if (it->second.on_complete)
       callbacks.push_back(std::move(it->second.on_complete));
     flows_.erase(it);
@@ -399,18 +455,13 @@ void FlowNetwork::on_timer() {
   resolve_rates();
 
   // Re-arm surviving flows whose predicted finish has come due (an early
-  // prediction by a float ulp): refresh their entry at the new now.
-  while (!completions_.empty() && completions_.top().at <= now) {
-    const Completion c = completions_.top();
-    completions_.pop();
-    auto it = flows_.find(c.id);
-    if (it == flows_.end() || it->second.stamp != c.stamp) continue;
-    Flow& f = it->second;
-    ++f.stamp;
+  // prediction by a float ulp): re-key their entry past the new now.
+  while (!completions_.empty() && completions_.front().at <= now) {
+    Flow& f = *completions_.front().flow;
     double at = now + f.remaining / f.rate;
     if (at <= now)
       at = std::nextafter(now, std::numeric_limits<double>::infinity());
-    completions_.push(Completion{at, c.id, f.stamp});
+    heap_set(f, at);
   }
 
   schedule_next_completion();

@@ -27,18 +27,20 @@
 // component is solved by a pure function of (component flows, port
 // capacities), so the incremental path is bit-for-bit identical to a full
 // from-scratch solve (oracle_rates(), asserted by
-// tests/flow_solver_equivalence_test.cpp). Completion timers are kept in a
-// lazy min-heap keyed by predicted finish time, so a flow change costs
-// O(component), not O(active flows) — the difference between 100-node and
-// 10k-node runs.
+// tests/flow_solver_equivalence_test.cpp, which also diffs every solve
+// against a verbatim copy of the original water-filling loop). Completion
+// times live in an indexed binary heap with exactly one entry per active
+// flow, keyed by (predicted finish time, flow id) and updated in place
+// when a flow is re-solved, so a flow change costs O(component · log
+// active flows), not O(active flows) — the difference between 100-node
+// and 10k-node runs.
 
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <queue>
+#include <span>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -124,31 +126,43 @@ class FlowNetwork {
   std::uint64_t solver_flows_solved() const { return solver_flows_solved_; }
 
  private:
+  static constexpr std::size_t kNoSlot =
+      std::numeric_limits<std::size_t>::max();
+  static constexpr std::uint32_t kNoLocal =
+      std::numeric_limits<std::uint32_t>::max();
+  struct Flow;
   struct Port {
     Rate cap;
     std::string name;
     KahanSum bytes_through;
-    /// Active flows crossing this port (the solver's adjacency).
-    std::unordered_set<FlowId> flows;
+    /// Active flows crossing this port (the solver's adjacency), one entry
+    /// per occurrence in a flow's path, in no particular order.
+    std::vector<Flow*> flows;
+    /// `seen`: the resolve generation that absorbed this port into a
+    /// component. `dirty`: already queued in dirty_ports_.
+    std::uint64_t seen = 0;
+    bool dirty = false;
   };
   struct Flow {
+    FlowId id;
     std::vector<PortId> path;
     double remaining;  // bytes still to move
     Rate rate = 0.0;
     Callback on_complete;
-    /// Bumped whenever the rate is re-solved; stale completion-heap
-    /// entries (older stamp) are skipped.
-    std::uint64_t stamp = 0;
+    /// Component-collection mark (the resolve generation that saw it).
+    std::uint64_t seen = 0;
+    /// Index of this flow's entry in completions_, or kNoSlot.
+    std::size_t heap_slot = kNoSlot;
   };
-  /// Lazy completion-heap entry: predicted absolute finish time under the
-  /// rate current at stamp time.
+  /// Completion-heap entry: predicted absolute finish time under the
+  /// flow's current rate. Ordered by (at, id).
   struct Completion {
     SimTime at;
     FlowId id;
-    std::uint64_t stamp;
-    bool operator>(const Completion& o) const {
-      if (at != o.at) return at > o.at;
-      return id > o.id;
+    Flow* flow;
+    bool operator<(const Completion& o) const {
+      if (at != o.at) return at < o.at;
+      return id < o.id;
     }
   };
 
@@ -156,18 +170,26 @@ class FlowNetwork {
   /// Re-solve the components marked dirty (or everything, when the
   /// incremental solver is off).
   void resolve_rates();
-  /// All flows connected to `seed` through shared ports, ascending.
-  std::vector<FlowId> collect_component(FlowId seed,
-                                        std::unordered_set<FlowId>& seen,
-                                        std::unordered_set<PortId>& ports_seen)
-      const;
+  /// All flows connected to `seed` through shared ports, ascending by id.
+  /// Marks flows and ports with the current resolve generation.
+  void collect_component(Flow* seed, std::vector<Flow*>& component);
   /// Pure water-filling over one connected component: rates aligned with
-  /// `ids` (which must be sorted ascending). Reads flows_/ports_ only.
-  std::vector<Rate> solve_component(const std::vector<FlowId>& ids) const;
+  /// `flows` (which must be sorted by ascending id). Reads the flows'
+  /// paths and port capacities only.
+  std::vector<Rate> solve_component(std::span<const Flow* const> flows) const;
   /// Write solved rates back and refresh the flows' completion entries.
-  void apply_rates(const std::vector<FlowId>& ids,
+  void apply_rates(const std::vector<Flow*>& flows,
                    const std::vector<Rate>& rates);
-  void mark_dirty(const std::vector<PortId>& path);
+  /// Attach/detach a flow to/from the ports on its path; detaching also
+  /// drops its completion entry.
+  void link(Flow& flow);
+  void unlink(Flow& flow);
+  /// Indexed completion heap, one entry per active flow: insert or re-key
+  /// a flow's entry, remove it, or settle `c` into the hole at `slot`.
+  void heap_set(Flow& flow, SimTime at);
+  void heap_erase(Flow& flow);
+  void heap_fix(std::size_t slot, Completion c);
+  void mark_dirty(std::span<const PortId> ports);
   void schedule_next_completion();
   void on_timer();
   void activate(FlowId id, Flow flow);
@@ -175,6 +197,9 @@ class FlowNetwork {
 
   simkit::Simulator& sim_;
   std::vector<Port> ports_;
+  // unordered_map never moves its elements, so Port::flows and
+  // completions_ point straight at them; unlink() clears both before a
+  // flow is erased.
   std::unordered_map<FlowId, Flow> flows_;
   // Flows waiting out their head latency (cancellable via pending_latency_).
   std::unordered_map<FlowId, simkit::EventId> pending_latency_;
@@ -184,9 +209,12 @@ class FlowNetwork {
   std::function<void()> count_hook_;
 
   bool incremental_ = true;
-  std::unordered_set<PortId> dirty_ports_;
-  std::priority_queue<Completion, std::vector<Completion>,
-                      std::greater<>> completions_;
+  std::vector<PortId> dirty_ports_;
+  std::uint64_t generation_ = 0;
+  std::vector<Completion> completions_;  // binary min-heap
+  /// solve_component scratch: each port's index within the component being
+  /// solved, kNoLocal outside a solve.
+  mutable std::vector<std::uint32_t> local_port_;
   std::uint64_t solver_solves_ = 0;
   std::uint64_t solver_flows_solved_ = 0;
 };

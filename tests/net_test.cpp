@@ -195,6 +195,87 @@ TEST(FlowNetwork, PortByteAccounting) {
   EXPECT_NEAR(fn.port_bytes(p), 1234.0, 1.0);
 }
 
+// Completion order with tied finish times: 64 equal flows on symmetric
+// {tx, rx} paths (16 tx ports x 4 rx ports) all predict the same finish,
+// so the completion heap's flow-id tie-break decides the order. Cancels
+// and capacity changes mid-flight split them into groups. The expected
+// trace (order and bitwise times) was recorded with the original lazy
+// completion heap and must never move.
+TEST(FlowNetwork, TiedCompletionOrderIsPinned) {
+  simkit::Simulator sim;
+  FlowNetwork fn(sim);
+  std::vector<PortId> tx, rx;
+  for (int i = 0; i < 16; ++i) tx.push_back(fn.add_port(1000.0));
+  for (int i = 0; i < 4; ++i) rx.push_back(fn.add_port(1000.0));
+  std::vector<std::pair<int, double>> trace;
+  std::vector<FlowId> ids;
+  for (int i = 0; i < 64; ++i)
+    ids.push_back(fn.start_flow({tx[i % 16], rx[i / 16]}, 6400, [&, i] {
+      trace.emplace_back(i, sim.now());
+    }));
+  sim.at(30.0, [&] {
+    fn.cancel_flow(ids[5]);
+    fn.cancel_flow(ids[17]);
+    fn.cancel_flow(ids[40]);
+    fn.set_capacity(rx[2], 500.0);
+    fn.set_capacity(tx[3], 125.0);
+  });
+  sim.at(80.0, [&] {
+    fn.set_capacity(rx[0], 4000.0);
+    fn.cancel_flow(ids[63]);
+  });
+  sim.run();
+
+  struct Group {
+    double at;
+    std::vector<int> flows;
+  };
+  const std::vector<Group> groups = {
+      {0x1.4f07a8eb707a9p+6, {0, 1, 2, 4, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}},
+      {0x1.7d92fe592fe59p+6,
+       {16, 18, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31}},
+      {0x1.8ae853ae853afp+6,
+       {48, 49, 50, 52, 53, 54, 55, 56, 57, 58, 59, 60, 61, 62}},
+      {0x1.4a4b17e4b17e6p+7,
+       {32, 33, 34, 36, 37, 38, 39, 41, 42, 43, 44, 45, 46, 47}},
+      {0x1.5d9999999999ap+7, {3, 19, 35, 51}},
+  };
+  std::vector<std::pair<int, double>> expected;
+  for (const Group& g : groups)
+    for (int f : g.flows) expected.emplace_back(f, g.at);
+  ASSERT_EQ(trace.size(), expected.size());
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    EXPECT_EQ(trace[i].first, expected[i].first) << "completion " << i;
+    EXPECT_EQ(trace[i].second, expected[i].second) << "completion " << i;
+  }
+  EXPECT_EQ(fn.active_flows(), 0u);
+}
+
+// The re-arm path: at t = 1e9 + 10 s (one time ulp is 2^-23 s) seven of
+// eight flows sharing a port finish; the eighth has 3 bytes left, too many
+// for the done check at its old rate but, at the full rate it gets once
+// the others leave, its predicted finish rounds back to `now`. The timer
+// must re-arm it one ulp later rather than re-fire at `now`.
+TEST(FlowNetwork, DueCompletionRearmsOneUlpLater) {
+  simkit::Simulator sim;
+  FlowNetwork fn(sim);
+  const PortId p = fn.add_port(1e8);
+  std::vector<std::pair<int, double>> trace;
+  sim.at(1e9, [&] {
+    for (int i = 0; i < 8; ++i)
+      fn.start_flow({p}, i == 7 ? 125000003 : 125000000,
+                    [&, i] { trace.emplace_back(i, sim.now()); });
+  });
+  sim.run();
+  ASSERT_EQ(trace.size(), 8u);
+  for (int i = 0; i < 7; ++i) {
+    EXPECT_EQ(trace[i].first, i);
+    EXPECT_EQ(trace[i].second, 0x1.dcd6505p+29);  // 1e9 + 10
+  }
+  EXPECT_EQ(trace[7].first, 7);
+  EXPECT_EQ(trace[7].second, 0x1.dcd6505000001p+29);  // one ulp later
+}
+
 TEST(FlowNetwork, InvalidPortCapacityRejected) {
   simkit::Simulator sim;
   FlowNetwork fn(sim);
