@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "checkpoint/delta.hpp"
@@ -23,6 +24,7 @@
 #include "parity/reed_solomon.hpp"
 #include "parity/xor.hpp"
 #include "simkit/simulator.hpp"
+#include "telemetry/telemetry.hpp"
 #include "vm/memory_image.hpp"
 #include "vm/workload.hpp"
 
@@ -620,5 +622,53 @@ void BM_FillRandom(benchmark::State& state) {
                           static_cast<std::int64_t>(image.size_bytes()));
 }
 BENCHMARK(BM_FillRandom);
+
+// Event-loop churn at the serve_failover shape: ~5.7k events pending and
+// ~19% of scheduled events cancelled before they fire (client timeouts
+// cancelled on delivery). One iteration schedules one event, then cancels
+// a recently scheduled one or fires the earliest; items are scheduled
+// events.
+void BM_SimulatorChurn(benchmark::State& state) {
+  vdc::simkit::Simulator sim;
+  Rng rng(11);
+  constexpr std::size_t kPending = 5700;
+  constexpr double kHorizon = 2.0;  // the workload's client timeout
+  for (std::size_t i = 0; i < kPending; ++i)
+    sim.at(rng.uniform() * kHorizon, [] {});
+  std::vector<vdc::simkit::EventId> recent(256, vdc::simkit::kInvalidEvent);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    recent[next++ % recent.size()] =
+        sim.after(rng.uniform() * kHorizon, [] {});
+    if (!rng.chance(0.19) ||
+        !sim.cancel(recent[rng.uniform_u64(recent.size())]))
+      sim.step();
+  }
+  benchmark::DoNotOptimize(sim.executed());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_SimulatorChurn);
+
+// One counter write into a registry holding a run's worth of series
+// (serve_failover ends with ~2.2k): string-keyed (label canonicalization,
+// key build, hash lookup) vs a pre-resolved handle.
+void BM_MetricWrite(benchmark::State& state, bool handle) {
+  vdc::telemetry::MetricsRegistry registry;
+  for (int i = 0; i < 2048; ++i)
+    registry.add("filler.series", 1.0, {{"id", std::to_string(i)}});
+  const vdc::telemetry::Labels labels{{"kind", "host"}};
+  vdc::telemetry::Metric& metric = registry.counter("net.transfers", labels);
+  for (auto _ : state) {
+    if (handle)
+      metric.add(1.0);
+    else
+      registry.add("net.transfers", 1.0, labels);
+    benchmark::ClobberMemory();
+  }
+  benchmark::DoNotOptimize(metric.value);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK_CAPTURE(BM_MetricWrite, string, false);
+BENCHMARK_CAPTURE(BM_MetricWrite, handle, true);
 
 }  // namespace

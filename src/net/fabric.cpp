@@ -2,11 +2,17 @@
 
 namespace vdc::net {
 
-void Fabric::account(const char* kind, Bytes bytes) {
-  auto& metrics = telemetry_.metrics();
-  const telemetry::Labels labels{{"kind", kind}};
-  metrics.add("net.transfers", 1.0, labels);
-  metrics.add("net.bytes", static_cast<double>(bytes), labels);
+void Fabric::account(TransferKind kind, Bytes bytes) {
+  if (!transfers_[kind]) {
+    static constexpr const char* kNames[kTransferKinds] = {"host", "to_port",
+                                                           "from_port"};
+    auto& metrics = telemetry_.metrics();
+    const telemetry::Labels labels{{"kind", kNames[kind]}};
+    transfers_[kind] = &metrics.counter("net.transfers", labels);
+    bytes_[kind] = &metrics.counter("net.bytes", labels);
+  }
+  transfers_[kind]->add(1.0);
+  bytes_[kind]->add(static_cast<double>(bytes));
 }
 
 void Fabric::note_chunk_started() {
@@ -77,7 +83,7 @@ FlowId Fabric::transfer(HostId src, HostId dst, Bytes bytes,
                         FlowNetwork::Callback on_complete) {
   VDC_ASSERT(src < tx_.size() && dst < rx_.size());
   VDC_ASSERT_MSG(src != dst, "loopback transfers don't traverse the fabric");
-  account("host", bytes);
+  account(kHost, bytes);
   return network_.start_flow(host_path(src, dst), bytes,
                              std::move(on_complete), link_latency_);
 }
@@ -91,7 +97,7 @@ FlowId Fabric::transfer_judged(HostId src, HostId dst, Bytes bytes,
   VDC_ASSERT(src < tx_.size() && dst < rx_.size());
   VDC_ASSERT_MSG(src != dst, "loopback transfers don't traverse the fabric");
   const Judgement verdict = faults_->judge(src, dst);
-  account("host", bytes);
+  account(kHost, bytes);
   return network_.start_flow(
       host_path(src, dst), bytes,
       [cb = std::move(on_complete), verdict] { cb(verdict); },
@@ -101,7 +107,7 @@ FlowId Fabric::transfer_judged(HostId src, HostId dst, Bytes bytes,
 FlowId Fabric::transfer_to_port(HostId src, PortId sink, Bytes bytes,
                                 FlowNetwork::Callback on_complete) {
   VDC_ASSERT(src < tx_.size());
-  account("to_port", bytes);
+  account(kToPort, bytes);
   return network_.start_flow({tx_[src], sink}, bytes, std::move(on_complete),
                              link_latency_);
 }
@@ -109,7 +115,7 @@ FlowId Fabric::transfer_to_port(HostId src, PortId sink, Bytes bytes,
 FlowId Fabric::transfer_from_port(PortId source, HostId dst, Bytes bytes,
                                   FlowNetwork::Callback on_complete) {
   VDC_ASSERT(dst < rx_.size());
-  account("from_port", bytes);
+  account(kFromPort, bytes);
   return network_.start_flow({source, rx_[dst]}, bytes,
                              std::move(on_complete), link_latency_);
 }

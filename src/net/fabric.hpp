@@ -7,6 +7,7 @@
 // created and spliced into transfer paths, which is how the single-NAS
 // bottleneck of baseline disk-full checkpointing is expressed.
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -34,10 +35,10 @@ class Fabric {
     // so it returns to 0 at quiescence and its peak is the true
     // concurrency high-water mark.
     network_.set_count_hook([this] {
-      telemetry_.metrics().set(
-          "net.active_flows",
-          static_cast<double>(network_.active_flows() +
-                              network_.pending_flows()));
+      if (!active_flows_)
+        active_flows_ = &telemetry_.metrics().gauge("net.active_flows");
+      active_flows_->set(static_cast<double>(network_.active_flows() +
+                                             network_.pending_flows()));
     });
   }
 
@@ -115,10 +116,13 @@ class Fabric {
     PortId down;
   };
 
+  /// The `kind` label of `net.transfers` / `net.bytes`.
+  enum TransferKind { kHost, kToPort, kFromPort, kTransferKinds };
+
   /// Per-transfer accounting: `net.transfers` / `net.bytes` counters
   /// (labelled by kind). The `net.active_flows` gauge is maintained by
   /// the FlowNetwork count hook, not here.
-  void account(const char* kind, Bytes bytes);
+  void account(TransferKind kind, Bytes bytes);
 
   std::vector<PortId> host_path(HostId src, HostId dst) const;
 
@@ -132,6 +136,11 @@ class Fabric {
   std::vector<Rate> nic_rate_;
   std::unordered_map<RackId, RackUplink> uplinks_;
   std::unique_ptr<LinkFaultInjector> faults_;
+  // Metric handles, resolved on first write (the series appear exactly
+  // when a string-keyed write would have created them).
+  telemetry::Metric* active_flows_ = nullptr;
+  std::array<telemetry::Metric*, kTransferKinds> transfers_{};
+  std::array<telemetry::Metric*, kTransferKinds> bytes_{};
 };
 
 }  // namespace vdc::net

@@ -1,17 +1,20 @@
 #pragma once
 // Pending-event queues for the simulator.
 //
-// The simulator orders events by (time, id): id order breaks same-time
-// ties, which gives the FIFO contract every substrate depends on. Two
+// The simulator orders events by (time, key). A key is unique per queue
+// and increases in schedule order (the simulator packs its schedule
+// sequence number above the slot that holds the callback), so key order
+// breaks same-time ties FIFO — the contract every substrate depends on.
+// The queues never look inside a key. Two
 // interchangeable implementations live behind the EventQueue interface:
 //
-//  * BinaryHeapQueue — std::priority_queue over (time, id). O(log n) per
+//  * BinaryHeapQueue — std::priority_queue over (time, key). O(log n) per
 //    operation; the reference implementation.
 //  * CalendarQueue — Brown's calendar queue (a bucketed timing wheel with
 //    an overflow "year"). O(1) amortized push/pop when the event
 //    population is roughly stationary, which is exactly the regime of a
 //    big cluster simulation (heartbeats, retransmit timers, flow
-//    completions at 10k nodes). Buckets are scanned for the (time, id)
+//    completions at 10k nodes). Buckets are scanned for the (time, key)
 //    minimum, so the pop order is bit-identical to the heap's — asserted
 //    by tests/event_queue_equivalence_test.cpp.
 //
@@ -32,13 +35,13 @@ constexpr EventId kInvalidEvent = 0;
 
 struct QueueEntry {
   SimTime t = 0.0;
-  EventId id = kInvalidEvent;
+  std::uint64_t key = 0;
 };
 
-/// Strict (time, id) order: the simulator's same-time FIFO contract.
+/// Strict (time, key) order: the simulator's same-time FIFO contract.
 inline bool entry_before(const QueueEntry& a, const QueueEntry& b) {
   if (a.t != b.t) return a.t < b.t;
-  return a.id < b.id;
+  return a.key < b.key;
 }
 
 class EventQueue {
@@ -47,7 +50,7 @@ class EventQueue {
 
   virtual void push(QueueEntry e) = 0;
 
-  /// The entry with the smallest (time, id); nullptr when empty. The
+  /// The entry with the smallest (time, key); nullptr when empty. The
   /// pointer is valid until the next mutation.
   virtual const QueueEntry* peek() = 0;
 
@@ -121,7 +124,7 @@ class CalendarQueue final : public EventQueue {
     return static_cast<std::uint64_t>(s);
   }
   std::size_t bucket_of(SimTime t) const;
-  /// Locate the (time, id) minimum and cache its position.
+  /// Locate the (time, key) minimum and cache its position.
   void find_min();
 
   std::vector<std::vector<QueueEntry>> buckets_;

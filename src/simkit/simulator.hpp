@@ -10,14 +10,23 @@
 // The pending-event queue is pluggable (SimulatorConfig::queue or env
 // VDC_EVENT_QUEUE): the binary heap is the reference, the calendar queue
 // is the O(1)-amortized implementation for 10k-node runs. Both pop the
-// exact same (time, id) order. Cancelled events leave tombstones in the
-// queue; when tombstones outnumber live events the queue is compacted in
-// place, so cancel-heavy timer workloads (heartbeats, retransmits) no
-// longer grow it unboundedly.
+// exact same (time, key) order, where an entry's key is its schedule
+// sequence number above its slot index: schedule order, FIFO at ties.
+//
+// Pending callbacks live in a slot table (fixed-size pages, so growth
+// never moves a callback) that reuses freed slots through a free list; no
+// event touches a hash map. An EventId is `(generation << 32) | slot`:
+// firing or cancelling an event bumps its slot's generation, so a stale
+// id can never reach the slot's next occupant. Ids are therefore NOT
+// monotonic — same-time order comes from the queue key, never from ids.
+// Cancelled events leave tombstones in the queue (an entry whose slot no
+// longer holds its key); when tombstones outnumber live events the queue
+// is compacted in place, so cancel-heavy timer workloads (heartbeats,
+// retransmits) no longer grow it unboundedly.
 
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -60,11 +69,16 @@ class Simulator {
   /// Cancel a pending event. Returns true if it was still pending.
   bool cancel(EventId id);
 
-  /// True if `id` refers to a still-pending event.
-  bool pending(EventId id) const { return callbacks_.count(id) != 0; }
+  /// True if `id` refers to a still-pending event. A stale id (its event
+  /// fired or was cancelled, its slot possibly reused) is never pending.
+  bool pending(EventId id) const {
+    const auto index = static_cast<std::uint32_t>(id);
+    return index < slots_.size() && slots_[index].key != 0 &&
+           slots_[index].gen == (id >> 32);
+  }
 
   /// Number of pending events.
-  std::size_t pending_count() const { return callbacks_.size(); }
+  std::size_t pending_count() const { return live_; }
 
   /// Execute the next event, if any. Returns false when the queue is empty.
   bool step();
@@ -95,10 +109,24 @@ class Simulator {
   const char* queue_name() const { return queue_->name(); }
 
  private:
-  struct Pending {
-    SimTime t = 0.0;  // kept so compaction can rebuild live entries
+  // Queue key = (sequence << kSlotBits) | slot: 2^24 events pending at
+  // once, 2^40 scheduled over a simulator's life, in a 16-byte entry.
+  static constexpr int kSlotBits = 24;
+  static constexpr std::uint64_t kSlotMask =
+      (std::uint64_t{1} << kSlotBits) - 1;
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+  /// One pending callback. A slot is live while `key != 0`.
+  struct Slot {
     Callback cb;
+    SimTime t = 0.0;         // kept so compaction can rebuild live entries
+    std::uint64_t key = 0;   // the occupant's queue key; 0 when free
+    std::uint32_t gen = 1;   // bumped on free: stales the occupant's id
+    std::uint32_t next_free = kNoSlot;
   };
+
+  std::uint32_t acquire_slot();
+  void release_slot(std::uint32_t index);
 
   /// Rebuild the queue from live events once tombstones dominate.
   void maybe_compact();
@@ -107,13 +135,15 @@ class Simulator {
   void publish_metrics();
 
   SimTime now_ = 0.0;
-  EventId next_id_ = 1;
+  std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
   std::uint64_t cancelled_ = 0;
   std::uint64_t compactions_ = 0;
   std::size_t queue_peak_ = 0;
+  std::size_t live_ = 0;
   std::unique_ptr<EventQueue> queue_;
-  std::unordered_map<EventId, Pending> callbacks_;
+  std::deque<Slot> slots_;  // paged: references survive growth
+  std::uint32_t free_head_ = kNoSlot;
   telemetry::Telemetry telemetry_;
 };
 

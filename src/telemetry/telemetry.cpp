@@ -78,19 +78,17 @@ Metric& MetricsRegistry::upsert(MetricKind kind, std::string_view name,
 
 void MetricsRegistry::add(std::string_view name, double delta,
                           const Labels& labels) {
-  upsert(MetricKind::Counter, name, labels).value += delta;
+  counter(name, labels).add(delta);
 }
 
 void MetricsRegistry::set(std::string_view name, double v,
                           const Labels& labels) {
-  Metric& metric = upsert(MetricKind::Gauge, name, labels);
-  metric.value = v;
-  metric.peak = std::max(metric.peak, v);
+  gauge(name, labels).set(v);
 }
 
 void MetricsRegistry::observe(std::string_view name, double v,
                               const Labels& labels) {
-  upsert(MetricKind::Histogram, name, labels).samples.add(v);
+  histogram(name, labels).observe(v);
 }
 
 const Metric* MetricsRegistry::find(std::string_view name,

@@ -6,11 +6,15 @@
 // discrete-event timeline rather than the host clock. Two tiers:
 //
 //  * The metrics registry (counters / gauges / histograms keyed by name +
-//    labels) is ALWAYS on. Writes are one hash-map upsert per event —
-//    events here means protocol-level occurrences (an epoch commit, a
-//    fabric transfer), never per-byte work — so the registry is cheap
-//    enough to leave enabled everywhere. The flat end-of-run structs
-//    (`EpochStats`, `RunResult`, ...) are derived from it.
+//    labels) is ALWAYS on. A string-keyed write (`add`/`set`/`observe`)
+//    canonicalizes the labels and does one hash-map upsert; cold paths
+//    (an epoch commit, a recovery) use it. Per-event sites (fabric
+//    transfers, flow counts, the traffic plane) resolve a `Metric&`
+//    handle once (`counter`/`gauge`/`histogram`) and then write through
+//    it with no lookup at all. Writes never do per-byte work, so the
+//    registry is cheap enough to leave enabled everywhere. The flat
+//    end-of-run structs (`EpochStats`, `RunResult`, ...) are derived
+//    from it.
 //
 //  * Span tracing is OFF by default (`set_enabled`). When enabled, begin/
 //    end (or pre-timed `record_span`) events flow to attached sinks
@@ -23,6 +27,7 @@
 // code and lets event-driven code pass an explicit parent instead.
 // See docs/OBSERVABILITY.md for the metric and span name catalog.
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -54,11 +59,38 @@ struct Metric {
   double value = 0.0;         // counter: running total; gauge: last set
   double peak = 0.0;          // gauge high-water mark
   Samples samples;            // histogram observations
+
+  /// Counter increment.
+  void add(double delta) { value += delta; }
+  /// Gauge write; `peak` tracks the highest value ever set.
+  void set(double v) {
+    value = v;
+    peak = std::max(peak, v);
+  }
+  /// One histogram observation.
+  void observe(double v) { samples.add(v); }
 };
 
 /// Counters, gauges and histograms keyed by (name, labels).
+///
+/// Handle lifetime: a `Metric&` returned by `counter`/`gauge`/`histogram`
+/// stays valid for the registry's whole lifetime (map nodes never move,
+/// and series are never removed), so hot sites may cache it as a pointer.
 class MetricsRegistry {
  public:
+  /// The series handle, created at zero on first call. A site that must
+  /// not create the series before its first write resolves the handle
+  /// lazily, at that write.
+  Metric& counter(std::string_view name, const Labels& labels = {}) {
+    return upsert(MetricKind::Counter, name, labels);
+  }
+  Metric& gauge(std::string_view name, const Labels& labels = {}) {
+    return upsert(MetricKind::Gauge, name, labels);
+  }
+  Metric& histogram(std::string_view name, const Labels& labels = {}) {
+    return upsert(MetricKind::Histogram, name, labels);
+  }
+
   /// Add `delta` to a counter (created at zero on first use).
   void add(std::string_view name, double delta, const Labels& labels = {});
 
@@ -81,7 +113,6 @@ class MetricsRegistry {
   std::vector<const Metric*> all() const;
 
   std::size_t size() const { return metrics_.size(); }
-  void clear() { metrics_.clear(); }
 
  private:
   Metric& upsert(MetricKind kind, std::string_view name,

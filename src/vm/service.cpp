@@ -46,7 +46,7 @@ void GuestService::start(Pending request) {
         }
         done(token);
       });
-  inflight_.emplace(ev, token);
+  inflight_.emplace_back(ev, token);
 }
 
 void GuestService::fail() {

@@ -12,7 +12,8 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "common/units.hpp"
 #include "simkit/simulator.hpp"
@@ -60,7 +61,9 @@ class GuestService {
   simkit::Simulator& sim_;
   Config config_;
   std::deque<Pending> queue_;
-  std::unordered_map<simkit::EventId, std::uint64_t> inflight_;
+  /// In-service requests as (completion event, token), in start order —
+  /// fail() cancels in that order, never in an order derived from ids.
+  std::vector<std::pair<simkit::EventId, std::uint64_t>> inflight_;
   std::uint64_t shed_ = 0;
 };
 

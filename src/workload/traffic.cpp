@@ -96,7 +96,9 @@ void TrafficPlane::send_request(std::uint64_t id) {
   RequestState& rs = it->second;
   ++rs.attempts;
   ++sent_;
-  metrics().add("serve.requests", 1.0);
+  if (!requests_metric_)
+    requests_metric_ = &metrics().counter("serve.requests");
+  requests_metric_->add(1.0);
   if (rs.attempts > 1) {
     ++retries_;
     metrics().add("serve.retries", 1.0);
@@ -149,7 +151,9 @@ void TrafficPlane::on_served(std::uint64_t id) {
   egress.bytes = config_.response_bytes;
   egress.generated_at = sim_.now();
   buffer_.hold(egress);
-  metrics().add("serve.responses_generated", 1.0);
+  if (!responses_metric_)
+    responses_metric_ = &metrics().counter("serve.responses_generated");
+  responses_metric_->add(1.0);
   update_held_gauge();
 }
 
@@ -219,11 +223,14 @@ void TrafficPlane::deliver(const HeldEgress& egress) {
 
   const SimTime latency = sim_.now() - rs.first_send;
   ++delivered_;
-  metrics().add("serve.delivered", 1.0);
+  if (!delivered_metric_)
+    delivered_metric_ = &metrics().counter("serve.delivered");
+  delivered_metric_->add(1.0);
   if (sim_.now() >= config_.warmup) {
-    latency_.add(latency);
     latency_hist_.add(latency);
-    metrics().observe("serve.latency", latency);
+    if (!latency_metric_)
+      latency_metric_ = &metrics().histogram("serve.latency");
+    latency_metric_->observe(latency);
   }
   if (downtime_open_ && !recovering_) {
     // First response a client actually sees after the failover: the
@@ -295,8 +302,9 @@ void TrafficPlane::drop_held(std::vector<HeldEgress> dropped,
 }
 
 void TrafficPlane::update_held_gauge() {
-  metrics().set("serve.output_held_bytes",
-                static_cast<double>(buffer_.held_bytes()));
+  if (!held_metric_)
+    held_metric_ = &metrics().gauge("serve.output_held_bytes");
+  held_metric_->set(static_cast<double>(buffer_.held_bytes()));
   held_peak_ = std::max(held_peak_, buffer_.held_bytes());
   held_window_peak_ = std::max(held_window_peak_, buffer_.held_bytes());
 }
@@ -324,10 +332,12 @@ TrafficPlane::Summary TrafficPlane::summary() const {
   s.duplicates = duplicates_;
   s.dropped_abort = dropped_abort_;
   s.dropped_failover = dropped_failover_;
-  s.latency_p50 = latency_.percentile(50.0);
-  s.latency_p99 = latency_.percentile(99.0);
-  s.latency_p999 = latency_.percentile(99.9);
-  s.latency_mean = latency_.mean();
+  const Samples none;
+  const Samples& latency = latency_metric_ ? latency_metric_->samples : none;
+  s.latency_p50 = latency.percentile(50.0);
+  s.latency_p99 = latency.percentile(99.0);
+  s.latency_p999 = latency.percentile(99.9);
+  s.latency_mean = latency.mean();
   s.throughput =
       sim_.now() > 0.0 ? static_cast<double>(delivered_) / sim_.now() : 0.0;
   s.downtime_visible = downtime_total_;

@@ -154,7 +154,6 @@ class TrafficPlane {
   const std::vector<DeliveryRecord>& deliveries() const {
     return deliveries_;
   }
-  const Samples& latencies() const { return latency_; }
   bool recovering() const { return recovering_; }
 
   /// Peak held egress since the last epoch commit (the current epoch
@@ -211,7 +210,14 @@ class TrafficPlane {
   SimTime failover_start_ = 0.0;
   double downtime_total_ = 0.0;
 
-  Samples latency_;
+  // Per-event metric handles, resolved on first write so each series
+  // appears exactly when a string-keyed write would have created it.
+  // serve.latency is also the summary's only latency store.
+  telemetry::Metric* requests_metric_ = nullptr;
+  telemetry::Metric* responses_metric_ = nullptr;
+  telemetry::Metric* delivered_metric_ = nullptr;
+  telemetry::Metric* latency_metric_ = nullptr;
+  telemetry::Metric* held_metric_ = nullptr;
   Histogram latency_hist_;
   Bytes held_peak_ = 0;
   Bytes held_window_peak_ = 0;  // peak since last commit (see accessor)

@@ -1,4 +1,4 @@
-// Queue equivalence: the calendar queue must pop the exact (time, id)
+// Queue equivalence: the calendar queue must pop the exact (time, key)
 // sequence the binary heap pops — the bit-reproducibility contract that
 // lets SimulatorConfig::queue be a pure performance knob.
 //
@@ -49,7 +49,7 @@ TEST(EventQueueEquivalence, RandomizedOpsPopIdentically) {
         const QueueEntry* b = calendar.peek();
         ASSERT_NE(a, nullptr);
         ASSERT_NE(b, nullptr);
-        ASSERT_EQ(a->id, b->id) << "seed " << seed << " op " << op;
+        ASSERT_EQ(a->key, b->key) << "seed " << seed << " op " << op;
         ASSERT_EQ(a->t, b->t);
         now = a->t;
         heap.pop();
@@ -71,7 +71,7 @@ TEST(EventQueueEquivalence, RandomizedOpsPopIdentically) {
     while (!heap.empty()) {
       const QueueEntry* a = heap.peek();
       const QueueEntry* b = calendar.peek();
-      ASSERT_EQ(a->id, b->id);
+      ASSERT_EQ(a->key, b->key);
       ASSERT_EQ(a->t, b->t);
       heap.pop();
       calendar.pop();

@@ -7,9 +7,12 @@
 
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
+#include <string>
 
 #include "core/runtime.hpp"
+#include "net/fabric.hpp"
 #include "telemetry/sinks.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -68,6 +71,94 @@ TEST(MetricsRegistry, AllIsSortedAndDeterministic) {
   EXPECT_EQ(rows[0]->name, "aa");
   EXPECT_EQ(rows[1]->name, "mm");
   EXPECT_EQ(rows[2]->name, "zz");
+}
+
+TEST(MetricsRegistry, HandleWritesEqualStringKeyedWrites) {
+  MetricsRegistry by_string;
+  MetricsRegistry by_handle;
+  const Labels labels{{"kind", "host"}, {"dir", "tx"}};
+  Metric& counter = by_handle.counter("bytes", labels);
+  Metric& gauge = by_handle.gauge("depth");
+  Metric& hist = by_handle.histogram("wait");
+  for (const double v : {3.0, 9.0, 2.0, 0.5, 7.25}) {
+    by_string.add("bytes", v, labels);
+    counter.add(v);
+    by_string.set("depth", v);
+    gauge.set(v);
+    by_string.observe("wait", v);
+    hist.observe(v);
+  }
+  // The handle IS the series the string-keyed lookup finds.
+  EXPECT_EQ(&counter,
+            by_handle.find("bytes", {{"dir", "tx"}, {"kind", "host"}}));
+  EXPECT_EQ(by_handle.value("bytes", labels),
+            by_string.value("bytes", labels));
+  EXPECT_EQ(by_handle.value("depth"), by_string.value("depth"));
+  EXPECT_EQ(by_handle.peak("depth"), by_string.peak("depth"));
+  EXPECT_EQ(by_handle.peak("depth"), 9.0);
+  EXPECT_EQ(by_handle.find("wait")->samples.values(),
+            by_string.find("wait")->samples.values());
+  // A handle survives later inserts (map nodes never move).
+  for (int i = 0; i < 1000; ++i)
+    by_handle.add("filler." + std::to_string(i), 1.0);
+  counter.add(1.0);
+  EXPECT_EQ(by_handle.value("bytes", labels),
+            by_string.value("bytes", labels) + 1.0);
+}
+
+TEST(MetricsRegistry, SeriesAbsentUntilFirstWrite) {
+  simkit::Simulator sim;
+  net::Fabric fabric(sim);
+  const net::HostId a = fabric.add_host(gbit_per_s(10));
+  const net::HostId b = fabric.add_host(gbit_per_s(10));
+  const auto& metrics = sim.telemetry().metrics();
+  EXPECT_EQ(metrics.size(), 0u);
+  // Fabric's lazily resolved handles create nothing until they write.
+  fabric.transfer(a, b, kib(64), [] {});
+  EXPECT_NE(metrics.find("net.active_flows"), nullptr);
+  EXPECT_DOUBLE_EQ(metrics.value("net.transfers", {{"kind", "host"}}), 1.0);
+  EXPECT_DOUBLE_EQ(metrics.value("net.bytes", {{"kind", "host"}}),
+                   static_cast<double>(kib(64)));
+  EXPECT_EQ(metrics.find("net.transfers", {{"kind", "to_port"}}), nullptr);
+  EXPECT_EQ(metrics.find("net.bytes", {{"kind", "from_port"}}), nullptr);
+  sim.run();
+  EXPECT_DOUBLE_EQ(metrics.value("net.active_flows"), 0.0);
+  EXPECT_DOUBLE_EQ(metrics.peak("net.active_flows"), 1.0);
+}
+
+TEST(MetricsRegistry, AllIsIdenticalForMixedHandleAndStringWrites) {
+  MetricsRegistry strings;
+  MetricsRegistry mixed;
+  Metric* flows = nullptr;  // resolved on first write, like the hot sites
+  for (int i = 0; i < 50; ++i) {
+    const double v = 0.5 * i;
+    const Labels kind{{"kind", i % 3 == 0 ? "host" : "to_port"}};
+    strings.add("net.transfers", 1.0, kind);
+    strings.set("net.active_flows", i % 7);
+    strings.observe("serve.latency", v);
+    mixed.counter("net.transfers", kind).add(1.0);
+    if (!flows) flows = &mixed.gauge("net.active_flows");
+    flows->set(i % 7);
+    if (i % 2)
+      mixed.observe("serve.latency", v);
+    else
+      mixed.histogram("serve.latency").observe(v);
+  }
+  const auto a = strings.all();
+  const auto b = mixed.all();
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i]->name, b[i]->name);
+    EXPECT_EQ(a[i]->kind, b[i]->kind);
+    ASSERT_EQ(a[i]->labels.size(), b[i]->labels.size());
+    for (std::size_t j = 0; j < a[i]->labels.size(); ++j) {
+      EXPECT_EQ(a[i]->labels[j].key, b[i]->labels[j].key);
+      EXPECT_EQ(a[i]->labels[j].value, b[i]->labels[j].value);
+    }
+    EXPECT_EQ(a[i]->value, b[i]->value) << a[i]->name;
+    EXPECT_EQ(a[i]->peak, b[i]->peak) << a[i]->name;
+    EXPECT_EQ(a[i]->samples.values(), b[i]->samples.values()) << a[i]->name;
+  }
 }
 
 TEST(JsonEscape, EscapesSpecials) {
@@ -339,6 +430,107 @@ TEST(Integration, DisabledTelemetryStillDerivesResults) {
   // ...but the registry-backed façade still works.
   EXPECT_GT(result.total_overhead, 0.0);
   EXPECT_GT(result.bytes_shipped, 0u);
+}
+
+// --- the metric catalog documents every emitted series -------------------
+
+/// Names in docs/OBSERVABILITY.md's "Metric catalog": every backticked
+/// name in the first column of a table row. The `a.b` / `.c` shorthand
+/// expands `.c` against the previous name, to a.c.
+std::set<std::string> catalogued_metric_names() {
+  std::ifstream in(std::string(VDC_SOURCE_DIR) + "/docs/OBSERVABILITY.md");
+  EXPECT_TRUE(in.good()) << "docs/OBSERVABILITY.md not found";
+  std::set<std::string> names;
+  bool in_catalog = false;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("## ", 0) == 0) in_catalog = line == "## Metric catalog";
+    if (!in_catalog || line.rfind('|', 0) != 0) continue;
+    const std::string first = line.substr(1, line.find('|', 1) - 1);
+    std::string previous;
+    for (std::size_t open = first.find('`'); open != std::string::npos;) {
+      const std::size_t close = first.find('`', open + 1);
+      if (close == std::string::npos) break;
+      std::string name = first.substr(open + 1, close - open - 1);
+      if (name.rfind('.', 0) == 0 && previous.find('.') != std::string::npos)
+        name = previous.substr(0, previous.rfind('.')) + name;
+      names.insert(name);
+      previous = name;
+      open = first.find('`', close + 1);
+    }
+  }
+  return names;
+}
+
+/// Series names `runner` emitted that the catalog lacks.
+std::set<std::string> uncatalogued(core::JobRunner& runner,
+                                   const std::set<std::string>& catalog) {
+  std::set<std::string> missing;
+  for (const Metric* metric : runner.sim().telemetry().metrics().all())
+    if (!catalog.count(metric->name)) missing.insert(metric->name);
+  return missing;
+}
+
+std::string joined(const std::set<std::string>& names) {
+  std::string out;
+  for (const auto& name : names) out += " " + name;
+  return out;
+}
+
+TEST(MetricCatalog, EveryEmittedSeriesIsDocumented) {
+  const std::set<std::string> catalog = catalogued_metric_names();
+  ASSERT_TRUE(catalog.count("serve.latency_hist.overflow"));  // shorthand
+  ASSERT_TRUE(catalog.count("nas.store.bytes"));
+
+  // Serving under output commit, with a replicated control plane, wire-
+  // true heartbeats, a lossy fabric, a node kill and a leader kill.
+  core::JobConfig serve;
+  serve.total_work = 30.0;
+  serve.interval = 1.0;
+  serve.seed = 11;
+  serve.failure_schedule = failure::ScheduledFailureInjector::parse(
+      "fail 10.3 3\nkill-leader at 20.6\n");
+  serve.heartbeat = cluster::HeartbeatConfig{};
+  net::LinkFault drop;
+  drop.drop = 0.001;
+  serve.ambient_link_fault = drop;
+  serve.control = controlplane::ControlPlaneConfig{};
+  workload::TrafficConfig tc;
+  tc.mode = workload::TrafficConfig::Mode::kOpen;
+  tc.clients_per_guest = 100;
+  tc.request_rate = 0.5;
+  tc.streams_per_guest = 2;
+  tc.client_timeout = 2.0;
+  tc.warmup = 1.0;
+  serve.traffic = tc;
+  core::ClusterConfig serve_cluster = small_cluster();
+  serve_cluster.vms_per_node = 2;
+  serve_cluster.pages_per_vm = 16;
+  core::JobRunner serving(serve, serve_cluster, dvdc_factory(serve_cluster));
+  const core::RunResult served = serving.run();
+  ASSERT_TRUE(served.finished);
+  EXPECT_EQ(served.failures, 2u);  // the node kill and the leader kill
+  const auto& serve_metrics = serving.sim().telemetry().metrics();
+  EXPECT_GE(serve_metrics.value("cp.elections"), 1.0);
+  EXPECT_NE(serve_metrics.find("serve.latency"), nullptr);
+  EXPECT_NE(serve_metrics.find("net.drops"), nullptr);
+  const auto serve_missing = uncatalogued(serving, catalog);
+  EXPECT_TRUE(serve_missing.empty())
+      << "serving job series missing from docs/OBSERVABILITY.md:"
+      << joined(serve_missing);
+
+  // A batch job with Poisson-style failures and oracle detection.
+  core::JobConfig batch;
+  batch.total_work = minutes(30);
+  batch.interval = minutes(5);
+  batch.failure_trace = {minutes(12), hours(100)};
+  core::JobRunner batch_runner(batch, small_cluster(),
+                               dvdc_factory(small_cluster()));
+  ASSERT_TRUE(batch_runner.run().finished);
+  const auto batch_missing = uncatalogued(batch_runner, catalog);
+  EXPECT_TRUE(batch_missing.empty())
+      << "batch job series missing from docs/OBSERVABILITY.md:"
+      << joined(batch_missing);
 }
 
 }  // namespace
