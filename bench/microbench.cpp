@@ -126,7 +126,7 @@ void BM_RleEncodeSparse(benchmark::State& state) {
 }
 BENCHMARK(BM_RleEncodeSparse);
 
-// One delta record at the fast plane's shape: a 4 KiB arena that is zero
+// One delta record at the capture arena's shape: a 4 KiB arena that is zero
 // outside a nonzero write extent of Arg bytes (64 B, 512 B, 4 KiB), priced
 // and encoded as min(RLE, trim). Items are records.
 void BM_EncodeRecord(benchmark::State& state) {
@@ -287,12 +287,10 @@ BENCHMARK(BM_Crc32);
 // --- epoch data plane --------------------------------------------------------
 //
 // End-to-end wall-clock cost of one checkpoint epoch through the full
-// coordinator, at a controlled dirty fraction, on both data planes:
-//   plane 0 = fast (dirty-bitmap capture, page-sharing store, in-place
-//             pooled parity folds), plane 1 = reference (flatten + diff +
-//             copy). Simulated time is identical by construction; only the
-//             host-side work differs. The CI perf-smoke job runs these
-//             with --benchmark_filter='Dataplane' into BENCH_dataplane.json.
+// coordinator (dirty-bitmap capture, page-sharing store, in-place pooled
+// parity folds), at a controlled dirty fraction. The CI perf-smoke job
+// runs these with --benchmark_filter='Dataplane' into
+// BENCH_dataplane.json.
 
 class DataplaneRig {
  public:
@@ -300,9 +298,7 @@ class DataplaneRig {
   static constexpr std::size_t kPageCount = 1024;  // 4 MiB per VM
   static constexpr int kVms = 3;                   // one RAID-5 group
 
-  explicit DataplaneRig(bool reference_plane)
-      : cluster_(sim_, Rng(99)),
-        coord_(sim_, cluster_, state_, make_config(reference_plane)) {
+  DataplaneRig() : cluster_(sim_, Rng(99)), coord_(sim_, cluster_, state_) {
     for (int n = 0; n < kVms + 1; ++n) cluster_.add_node();
     for (int n = 0; n < kVms; ++n)
       cluster_.boot_vm(n, kPageSize, kPageCount,
@@ -365,12 +361,6 @@ class DataplaneRig {
   }
 
  private:
-  static vdc::core::ProtocolConfig make_config(bool reference) {
-    vdc::core::ProtocolConfig config;
-    config.reference_data_plane = reference;
-    return config;
-  }
-
   vdc::simkit::Simulator sim_;
   vdc::cluster::ClusterManager cluster_;
   vdc::core::DvdcState state_;
@@ -394,9 +384,8 @@ void dataplane_counters(benchmark::State& state, const DataplaneRig& rig,
 }
 
 void BM_DataplaneIncrementalEpoch(benchmark::State& state) {
-  const bool reference = state.range(0) != 0;
-  const auto permille = static_cast<std::size_t>(state.range(1));
-  DataplaneRig rig(reference);
+  const auto permille = static_cast<std::size_t>(state.range(0));
+  DataplaneRig rig;
   const double copy0 = rig.metric("dvdc.copy.bytes");
   const double cap0 = rig.metric("dvdc.wall.capture_ns");
   const double fold0 = rig.metric("dvdc.wall.fold_ns");
@@ -425,15 +414,16 @@ void BM_DataplaneIncrementalEpoch(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           DataplaneRig::image_bytes());
 }
-// {plane 0|1} x {dirty fraction 1%, 10%, 50% in permille}
+// dirty fraction 1%, 10%, 50% in permille
 BENCHMARK(BM_DataplaneIncrementalEpoch)
-    ->ArgNames({"ref", "dirty_pm"})
-    ->ArgsProduct({{0, 1}, {10, 100, 500}})
+    ->ArgName("dirty_pm")
+    ->Arg(10)
+    ->Arg(100)
+    ->Arg(500)
     ->Unit(benchmark::kMillisecond);
 
 void BM_DataplaneFullExchangeEpoch(benchmark::State& state) {
-  const bool reference = state.range(0) != 0;
-  DataplaneRig rig(reference);
+  DataplaneRig rig;
   const double copy0 = rig.metric("dvdc.copy.bytes");
   const double cap0 = rig.metric("dvdc.wall.capture_ns");
   const double fold0 = rig.metric("dvdc.wall.fold_ns");
@@ -448,11 +438,7 @@ void BM_DataplaneFullExchangeEpoch(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           DataplaneRig::image_bytes());
 }
-BENCHMARK(BM_DataplaneFullExchangeEpoch)
-    ->ArgNames({"ref"})
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DataplaneFullExchangeEpoch)->Unit(benchmark::kMillisecond);
 
 void BM_WireRoundtrip(benchmark::State& state) {
   Rng rng(15);

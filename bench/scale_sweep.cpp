@@ -16,9 +16,8 @@
 //      `recovery.served_bytes` metric gated against the plan-derived
 //      prediction and the decluster_test concentration bound.
 //   3. Flow solver — random sparse point-to-point flow churn; the
-//      incremental component solver's flows-solved counter vs the full
-//      solver's (full measured directly up to 1k nodes, arithmetic
-//      otherwise — it is Sum(active) by definition).
+//      incremental component solver's flows-solved counter vs the work a
+//      full re-solve would do (Sum(active) over the ops, exactly F^2).
 //   4. Election availability — replicated-control-plane failover: kill
 //      the seated leader at 200/1k/10k nodes and measure sim-time to the
 //      next quorum-committed control record. Gated on an absolute sim-time
@@ -363,52 +362,40 @@ RebuildDriveStats rebuild_drive(std::size_t nodes) {
 struct SolverStats {
   std::uint64_t ops = 0;
   std::uint64_t incremental_flows_solved = 0;
-  std::uint64_t full_flows_solved = 0;  // measured or arithmetic
-  bool full_measured = false;
+  std::uint64_t full_flows_solved = 0;  // F^2, exact
   double reduction = 0.0;
 };
 
 /// Group-local point-to-point churn (the checkpoint-exchange shape:
 /// traffic stays within a group, so flow/port components stay small):
 /// start 2 flows per node, then cancel them all. Incremental cost is the
-/// touched components; the full solver re-solves every active flow per op.
-SolverStats solver_churn(std::size_t nodes, bool measure_full) {
+/// touched components; a full re-solve would redo every active flow per op.
+SolverStats solver_churn(std::size_t nodes) {
   SolverStats stats;
   const std::size_t flows = 2 * nodes;
   stats.ops = 2 * flows;
   const std::size_t kLocality = 16;  // nodes per exchange neighbourhood
 
-  auto run = [&](bool incremental) -> std::uint64_t {
-    simkit::Simulator sim;
-    net::FlowNetwork fn(sim);
-    fn.set_incremental_solver(incremental);
-    Rng rng(11);
-    std::vector<net::PortId> ports;
-    for (std::size_t i = 0; i < 2 * nodes; ++i)
-      ports.push_back(fn.add_port(1e9));
-    std::vector<net::FlowId> live;
-    const std::size_t hoods = std::max<std::size_t>(1, nodes / kLocality);
-    for (std::size_t i = 0; i < flows; ++i) {
-      const std::size_t base = rng.uniform_u64(hoods) * kLocality;
-      const net::PortId tx = ports[base + rng.uniform_u64(kLocality)];
-      const net::PortId rx =
-          ports[nodes + base + rng.uniform_u64(kLocality)];
-      live.push_back(fn.start_flow({tx, rx}, 1u << 20, [] {}));
-    }
-    for (net::FlowId f : live) fn.cancel_flow(f);
-    return fn.solver_flows_solved();
-  };
-
-  stats.incremental_flows_solved = run(true);
-  if (measure_full) {
-    stats.full_flows_solved = run(false);
-    stats.full_measured = true;
-  } else {
-    // Full solves all active flows per op: Sum over starts (1..F) plus
-    // Sum over cancels (F-1..0) = F^2.
-    stats.full_flows_solved =
-        static_cast<std::uint64_t>(flows) * static_cast<std::uint64_t>(flows);
+  simkit::Simulator sim;
+  net::FlowNetwork fn(sim);
+  Rng rng(11);
+  std::vector<net::PortId> ports;
+  for (std::size_t i = 0; i < 2 * nodes; ++i)
+    ports.push_back(fn.add_port(1e9));
+  std::vector<net::FlowId> live;
+  const std::size_t hoods = std::max<std::size_t>(1, nodes / kLocality);
+  for (std::size_t i = 0; i < flows; ++i) {
+    const std::size_t base = rng.uniform_u64(hoods) * kLocality;
+    const net::PortId tx = ports[base + rng.uniform_u64(kLocality)];
+    const net::PortId rx = ports[nodes + base + rng.uniform_u64(kLocality)];
+    live.push_back(fn.start_flow({tx, rx}, 1u << 20, [] {}));
   }
+  for (net::FlowId f : live) fn.cancel_flow(f);
+  stats.incremental_flows_solved = fn.solver_flows_solved();
+  // A full re-solve redoes every active flow per op: Sum over starts
+  // (1..F) plus Sum over cancels (F-1..0) = F^2.
+  stats.full_flows_solved =
+      static_cast<std::uint64_t>(flows) * static_cast<std::uint64_t>(flows);
   stats.reduction = stats.incremental_flows_solved > 0
                         ? static_cast<double>(stats.full_flows_solved) /
                               static_cast<double>(stats.incremental_flows_solved)
@@ -594,13 +581,12 @@ Row run_scale(std::size_t nodes, std::uint64_t events) {
         row.rebuild.spread_ok ? "yes" : "NO", row.rebuild.drive_ms);
   }
   {
-    row.solver = solver_churn(nodes, /*measure_full=*/nodes <= 1000);
+    row.solver = solver_churn(nodes);
     std::printf(
-        "solver:      incremental %llu flows solved vs full %llu%s "
+        "solver:      incremental %llu flows solved vs full %llu "
         "(%.0fx less work)\n",
         static_cast<unsigned long long>(row.solver.incremental_flows_solved),
         static_cast<unsigned long long>(row.solver.full_flows_solved),
-        row.solver.full_measured ? "" : " (arithmetic)",
         row.solver.reduction);
   }
   return row;
@@ -658,11 +644,11 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
         out,
         "      \"solver\": {\"ops\": %llu, "
         "\"incremental_flows_solved\": %llu, \"full_flows_solved\": %llu, "
-        "\"full_measured\": %s, \"reduction\": %.1f}\n",
+        "\"reduction\": %.1f}\n",
         static_cast<unsigned long long>(r.solver.ops),
         static_cast<unsigned long long>(r.solver.incremental_flows_solved),
         static_cast<unsigned long long>(r.solver.full_flows_solved),
-        r.solver.full_measured ? "true" : "false", r.solver.reduction);
+        r.solver.reduction);
     std::fprintf(out, "    }%s\n", i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");

@@ -52,8 +52,9 @@ struct EncodedRecord {
 };
 
 /// Encode one x = old^new record, picking min(RLE, trim) with ties going to
-/// RLE. Both the fast and reference data planes must funnel through this
-/// single encoder so frames stay byte-identical.
+/// RLE. The data plane and compress_delta (the tests' flatten-based
+/// oracle) must funnel through this single encoder so frames stay
+/// byte-identical.
 EncodedRecord encode_record(std::span<const std::byte> x);
 
 struct CompressedDelta {

@@ -1,21 +1,11 @@
 #include "common/env.hpp"
 
-#include <cctype>
 #include <cerrno>
 #include <cstdlib>
 
 #include "common/log.hpp"
 
 namespace vdc::env {
-
-namespace {
-std::string lowered(std::string_view s) {
-  std::string out(s);
-  for (char& c : out)
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return out;
-}
-}  // namespace
 
 std::optional<std::string> raw(const char* name) {
   const char* value = std::getenv(name);
@@ -35,17 +25,6 @@ std::optional<long long> int_knob(const char* name) {
     return std::nullopt;
   }
   return v;
-}
-
-std::optional<bool> bool_knob(const char* name) {
-  const auto value = raw(name);
-  if (!value.has_value()) return std::nullopt;
-  const std::string v = lowered(*value);
-  if (v == "1" || v == "true" || v == "on") return true;
-  if (v == "0" || v == "false" || v == "off") return false;
-  VDC_WARN("env", "ignoring ", name, "=\"", *value,
-           "\": expected 0/1 (or true/false, on/off)");
-  return std::nullopt;
 }
 
 std::optional<std::string> enum_knob(

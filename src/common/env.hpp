@@ -5,8 +5,8 @@
 // value can never silently pick a mode: a malformed value is rejected with
 // a logged warning and the configured default stands. (The pattern started
 // as ChunkPolicy::env_override's strict integer parse; this header is the
-// shared home so VDC_FULL_SOLVER, VDC_EVENT_QUEUE, VDC_PARITY_KERNEL,
-// VDC_REFERENCE_PLANE and friends all behave the same way.)
+// shared home so VDC_CHUNK_BYTES, VDC_PIPELINE_DEPTH, VDC_EVENT_QUEUE and
+// VDC_PARITY_KERNEL all behave the same way.)
 
 #include <cstdint>
 #include <initializer_list>
@@ -22,13 +22,6 @@ std::optional<std::string> raw(const char* name);
 /// Non-negative integer knob. The WHOLE string must parse (no trailing
 /// junk, no sign, no overflow); anything else warns and returns nullopt.
 std::optional<long long> int_knob(const char* name);
-
-/// Boolean knob. Accepts exactly "0"/"1" (and "true"/"false",
-/// "on"/"off", case-insensitive); anything else warns and returns
-/// nullopt so the caller's default stands. Note that this is stricter
-/// than the old `value[0] == '1'` checks, which silently treated
-/// "true" as false — or "off" as true.
-std::optional<bool> bool_knob(const char* name);
 
 /// Enumerated knob: the value must match one of `allowed` exactly;
 /// anything else warns (listing the valid spellings) and returns nullopt.

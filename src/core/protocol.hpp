@@ -74,13 +74,6 @@ struct ProtocolConfig {
   /// Copy-on-write capture: guests resume after `base_overhead` while the
   /// exchange and XOR proceed against the frozen view.
   bool copy_on_write = true;
-  /// Use the legacy flatten+diff_images data plane instead of the
-  /// dirty-page zero-copy plane. Simulated timing, metrics, checkpoints
-  /// and parity are bit-identical either way (asserted by
-  /// tests/dataplane_equivalence_test.cpp); the reference plane just does
-  /// O(image) wall-clock work per VM per epoch. The env var
-  /// VDC_REFERENCE_PLANE=1 forces it on at coordinator construction.
-  bool reference_data_plane = false;
   /// Exchange streaming: slice each (member, holder) contribution into
   /// `chunking.chunk_bytes` segments with at most `chunking.pipeline_depth`
   /// in flight, folding every chunk into parity as it arrives (decode
@@ -200,7 +193,7 @@ class DvdcState {
   /// walk over blocks or entries.
   Bytes memory_bytes() const;
 
-  /// Bytes held in sub-page patch buffers across all stores (the fast
+  /// Bytes held in sub-page patch buffers across all stores (the data
   /// plane's extra cost for sharing a base page the guest barely touched;
   /// included in memory_bytes()).
   Bytes patch_bytes() const;
@@ -252,14 +245,11 @@ class DvdcCoordinator {
  private:
   struct GroupWork;
   // Data-plane capture + parity for one group (gw.full_exchange already
-  // decided). The fast plane consumes the dirty log and folds in place;
-  // the reference plane is the legacy flatten+diff+copy path. Both yield
-  // bit-identical checkpoints, parity, metrics, and simulated timing.
-  void capture_group_fast(
-      GroupWork& gw, const RaidGroup& group,
-      std::unordered_map<cluster::NodeId, Bytes>& captured_per_node,
-      std::int64_t& capture_ns, std::int64_t& fold_ns);
-  void capture_group_reference(
+  // decided): consume the dirty log, share unchanged pages with the
+  // committed checkpoint, and set up the in-place folds (incremental) or
+  // group-encode the images (full exchange). The content is pinned to a
+  // flatten + diff_images oracle by tests/dataplane_equivalence_test.cpp.
+  void capture_group(
       GroupWork& gw, const RaidGroup& group,
       std::unordered_map<cluster::NodeId, Bytes>& captured_per_node,
       std::int64_t& capture_ns, std::int64_t& fold_ns);
@@ -323,20 +313,20 @@ class DvdcCoordinator {
   std::unordered_map<cluster::NodeId, std::unique_ptr<simkit::Resource>>
       cpus_;
 
-  // Fast-plane capture arena: one zeroed page reused to assemble x =
-  // old^new per changed page (re-zeroed after each page), so capture
-  // copies are O(dirty extent), not O(page). Grown to the largest member
-  // page size; persists across epochs.
+  // Capture arena: one zeroed page reused to assemble x = old^new per
+  // changed page (re-zeroed after each page), so capture copies are
+  // O(dirty extent), not O(page). Grown to the largest member page size;
+  // persists across epochs.
   std::vector<std::byte> arena_;
   // Fold-from-wire accounting for the in-flight epoch: wall time and
   // destination bytes folded at chunk arrival (reported at commit).
   std::int64_t ingest_fold_ns_ = 0;
   Bytes ingest_fold_bytes_ = 0;
 
-  // Dirty-log ownership (fast plane only): the dirty generation observed
-  // right after this coordinator's last clear_dirty() per VM. If the
-  // image's generation no longer matches, some other consumer cleared the
-  // log in between and the capture falls back to a full-image diff.
+  // Dirty-log ownership: the dirty generation observed right after this
+  // coordinator's last clear_dirty() per VM. If the image's generation no
+  // longer matches, some other consumer cleared the log in between and the
+  // capture falls back to a full-image diff.
   std::unordered_map<vm::VmId, std::uint64_t> dirty_baseline_;
 };
 

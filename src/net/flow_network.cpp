@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <unordered_set>
 #include <utility>
-
-#include "common/env.hpp"
 
 namespace vdc::net {
 
@@ -32,12 +29,7 @@ double floored_share(double residual, std::uint32_t unfixed, double floor) {
 }
 }  // namespace
 
-FlowNetwork::FlowNetwork(simkit::Simulator& sim) : sim_(sim) {
-  // Validated knob: garbage ("yes", "2", ...) warns and keeps the default
-  // instead of silently running the incremental solver.
-  if (const auto full = env::bool_knob("VDC_FULL_SOLVER"))
-    incremental_ = !*full;
-}
+FlowNetwork::FlowNetwork(simkit::Simulator& sim) : sim_(sim) {}
 
 PortId FlowNetwork::add_port(Rate capacity, std::string name) {
   VDC_REQUIRE(capacity > 0.0, "port capacity must be positive");
@@ -298,27 +290,13 @@ void FlowNetwork::apply_rates(const std::vector<Flow*>& flows,
 }
 
 void FlowNetwork::resolve_rates() {
-  // Components are disjoint and each solve reads only its own flows and
-  // ports, so the order components are solved in (and which of its flows
-  // seeds one) cannot change any rate.
-  ++generation_;
-  std::vector<Flow*> component;
-  if (!incremental_) {
-    // Full solve: decompose the whole population into components and
-    // re-solve each from scratch (the oracle as the live path).
-    for (PortId p : dirty_ports_) ports_[p].dirty = false;
-    dirty_ports_.clear();
-    for (auto& [id, f] : flows_) {
-      if (f.seen == generation_) continue;
-      collect_component(&f, component);
-      apply_rates(component, solve_component(component));
-    }
-    return;
-  }
-
   // Re-solve only the connected components the dirty ports belong to. A
   // port already absorbed into an earlier component (or flowless) is
-  // skipped.
+  // skipped. Components are disjoint and each solve reads only its own
+  // flows and ports, so the order components are solved in (and which of
+  // its flows seeds one) cannot change any rate.
+  ++generation_;
+  std::vector<Flow*> component;
   for (PortId p : dirty_ports_) {
     Port& port = ports_[p];
     port.dirty = false;

@@ -58,8 +58,6 @@ class FlowNetwork {
  public:
   using Callback = std::function<void()>;
 
-  /// The VDC_FULL_SOLVER=1 env var forces the full solver at construction
-  /// (the equivalence oracle as the live path).
   explicit FlowNetwork(simkit::Simulator& sim);
   FlowNetwork(const FlowNetwork&) = delete;
   FlowNetwork& operator=(const FlowNetwork&) = delete;
@@ -108,12 +106,6 @@ class FlowNetwork {
   double port_bytes(PortId port) const;
 
   // --- solver introspection --------------------------------------------------
-  /// Toggle the incremental component solver (on by default). Off = every
-  /// resolve recomputes all components from scratch; rates are identical
-  /// either way.
-  void set_incremental_solver(bool on) { incremental_ = on; }
-  bool incremental_solver() const { return incremental_; }
-
   /// Full from-scratch max-min solve of the current flow population,
   /// computed on the side (the equivalence oracle). Builds its own
   /// adjacency, so it cross-checks the incremental bookkeeping too.
@@ -167,8 +159,7 @@ class FlowNetwork {
   };
 
   void settle_progress();
-  /// Re-solve the components marked dirty (or everything, when the
-  /// incremental solver is off).
+  /// Re-solve the connected components of the ports marked dirty.
   void resolve_rates();
   /// All flows connected to `seed` through shared ports, ascending by id.
   /// Marks flows and ports with the current resolve generation.
@@ -208,7 +199,6 @@ class FlowNetwork {
   simkit::EventId timer_ = simkit::kInvalidEvent;
   std::function<void()> count_hook_;
 
-  bool incremental_ = true;
   std::vector<PortId> dirty_ports_;
   std::uint64_t generation_ = 0;
   std::vector<Completion> completions_;  // binary min-heap

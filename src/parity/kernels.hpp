@@ -8,7 +8,7 @@
 // detection, overridable for tests and benchmarks:
 //
 //   Scalar  — byte-at-a-time loops; the always-available equivalence
-//             reference (mirrors VDC_REFERENCE_PLANE for the data plane).
+//             reference.
 //   Blocked — word-blocked XOR (4x u64 per step) and a per-call 256-entry
 //             product table for GF(256); the portable fast path.
 //   Avx2    — 32-byte vector XOR and the ISA-L-style PSHUFB nibble-table

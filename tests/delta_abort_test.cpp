@@ -1,6 +1,6 @@
 // Abort-path coverage for the parity-delta fold.
 //
-// The fast data plane folds each epoch's deltas into the committed parity
+// The data plane folds each epoch's deltas into the committed parity
 // record IN PLACE as delta chunks arrive off the wire, so the standing
 // parity is mutated while the exchange is still in flight. An abort must
 // therefore (a) replay the undo log so every touched parity byte returns
@@ -19,6 +19,7 @@
 
 #include "core/plan.hpp"
 #include "core/protocol.hpp"
+#include "dataplane_oracle.hpp"
 #include "vm/workload.hpp"
 
 namespace vdc::core {
@@ -94,12 +95,14 @@ TEST_P(DeltaAbort, MidEpochAbortUnwindsFoldAndRemarksDirty) {
   for (const auto& [vmid, pages] : dirty_before) total_dirty += pages.size();
   ASSERT_GT(total_dirty, 0u) << "workload produced no dirty pages";
 
-  // Launch epoch 2. The fast plane folds deltas into the committed record
+  // Launch epoch 2. The data plane folds deltas into the committed record
   // in place as chunks arrive, so pumping the exchange event-by-event must
   // eventually mutate the standing parity mid-flight — exactly the window
   // an abort must unwind.
   bool finished = false;
+  auto& metrics = rig.sim.telemetry().metrics();
   coord.run_epoch(placed, 2, [&](const EpochStats&) { finished = true; });
+  const double fold_ns_at_launch = metrics.value("dvdc.wall.fold_ns");
   ASSERT_TRUE(rig.state.fold_in_flight());
   bool any_mutated = false;
   for (int step = 0; step < 10000 && !any_mutated && !finished; ++step) {
@@ -114,6 +117,9 @@ TEST_P(DeltaAbort, MidEpochAbortUnwindsFoldAndRemarksDirty) {
   ASSERT_FALSE(finished);
   coord.abort();
   rig.sim.run();
+  // The aborted epoch's fold-from-wire wall time is published, like its
+  // capture time, not dropped with the epoch.
+  EXPECT_GT(metrics.value("dvdc.wall.fold_ns"), fold_ns_at_launch);
 
   // (a) Every parity byte is back to its committed value.
   EXPECT_FALSE(rig.state.fold_in_flight());
@@ -154,19 +160,16 @@ TEST_P(DeltaAbort, MidEpochAbortUnwindsFoldAndRemarksDirty) {
   for (const auto& group : placed.plan.groups) {
     const auto* record = rig.state.parity(group.id);
     ASSERT_NE(record, nullptr);
-    auto codec = make_codec(record->scheme, group.members.size(),
-                            config.rs_parity);
-    std::vector<parity::Block> padded;
-    std::vector<parity::BlockView> views;
+    std::vector<oracle::Payload> payloads;
     for (vm::VmId m : group.members) {
       const auto loc = rig.cluster.locate(m);
       ASSERT_TRUE(loc.has_value());
       const auto* cp = rig.state.node_store(*loc).find(m, 2);
       ASSERT_NE(cp, nullptr);
-      padded.push_back(cp->padded_payload(record->block_size));
+      payloads.push_back(cp->payload());
     }
-    for (const auto& p : padded) views.emplace_back(p);
-    const auto expect = codec->encode(views);
+    const auto expect = oracle::fresh_parity(
+        record->scheme, config.rs_parity, payloads, record->block_size);
     ASSERT_EQ(expect.size(), record->blocks.size());
     for (std::size_t i = 0; i < expect.size(); ++i)
       EXPECT_EQ(expect[i], record->blocks[i])

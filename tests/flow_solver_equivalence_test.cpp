@@ -2,7 +2,8 @@
 //
 // - The component-local incremental re-solve must be bit-for-bit
 //   identical to a full from-scratch pass (oracle_rates()), after every
-//   mutation, on adversarial topologies. Both go through the production
+//   mutation and at every start and completion of a timed schedule, on
+//   adversarial topologies. Both go through the production
 //   solve_component(), so these tests catch bookkeeping rot (stale
 //   adjacency, missed dirty marks, component under-collection).
 // - The production solve itself must stay bit-for-bit identical to the
@@ -196,7 +197,6 @@ TEST(FlowSolverEquivalence, RandomizedOpsMatchOracleBitwise) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     simkit::Simulator sim;
     FlowNetwork fn(sim);
-    ASSERT_TRUE(fn.incremental_solver());
     Rng rng(seed);
 
     constexpr int kPorts = 24;
@@ -242,55 +242,57 @@ TEST(FlowSolverEquivalence, RandomizedOpsMatchOracleBitwise) {
   }
 }
 
-// Twin networks — incremental vs full solver — fed the identical schedule
-// must produce identical completion traces (order AND bitwise times) and
-// identical port byte counters.
-TEST(FlowSolverEquivalence, TwinNetworksCompleteIdentically) {
-  struct Run {
-    explicit Run(bool incremental, std::uint64_t seed) {
-      fn.set_incremental_solver(incremental);
-      Rng rng(seed);
-      for (int i = 0; i < 12; ++i)
-        ports.push_back(fn.add_port(rng.uniform(20.0, 200.0)));
-      for (int i = 0; i < 120; ++i) {
-        const double at = rng.uniform(0.0, 50.0);
-        const PortId a = ports[rng.uniform_u64(ports.size())];
-        const PortId b = ports[rng.uniform_u64(ports.size())];
-        const Bytes bytes = 1 + rng.uniform_u64(1u << 18);
-        const double latency = rng.chance(0.25) ? rng.uniform(0.0, 2.0) : 0.0;
-        const int tag = i;
-        sim.at(at, [this, a, b, bytes, latency, tag] {
-          std::vector<PortId> path{a};
-          if (b != a) path.push_back(b);
-          fn.start_flow(
-              std::move(path), bytes,
-              [this, tag] { trace.emplace_back(tag, sim.now()); }, latency);
-        });
-      }
-      sim.run();
-    }
-    simkit::Simulator sim;
-    FlowNetwork fn{sim};
-    std::vector<PortId> ports;
-    std::vector<std::pair<int, double>> trace;
-  };
-
+// A timed schedule — flows arriving over time, some after a head
+// latency, completing and re-solving as they go: the live rates must
+// match the oracle bitwise at every start and every completion callback,
+// and the incremental solver must do less rate work than a full re-solve
+// of every active flow at each population change would.
+TEST(FlowSolverEquivalence, TimedScheduleMatchesOracleAtEveryEvent) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    Run inc(true, seed);
-    Run full(false, seed);
-    ASSERT_EQ(inc.trace.size(), full.trace.size()) << "seed " << seed;
-    for (std::size_t i = 0; i < inc.trace.size(); ++i) {
-      ASSERT_EQ(inc.trace[i].first, full.trace[i].first)
-          << "seed " << seed << " step " << i;
-      ASSERT_EQ(inc.trace[i].second, full.trace[i].second);
+    simkit::Simulator sim;
+    FlowNetwork fn(sim);
+    Rng rng(seed);
+    std::vector<PortId> ports;
+    for (int i = 0; i < 12; ++i)
+      ports.push_back(fn.add_port(rng.uniform(20.0, 200.0)));
+
+    // The count hook fires after every population change, once the
+    // change has been solved; a full solve would redo every active flow.
+    std::uint64_t full_work = 0;
+    std::size_t population = 0;
+    fn.set_count_hook([&] {
+      if (fn.active_flows() != population) full_work += fn.active_flows();
+      population = fn.active_flows();
+    });
+
+    std::size_t completions = 0;
+    for (int i = 0; i < 120; ++i) {
+      const double at = rng.uniform(0.0, 50.0);
+      const PortId a = ports[rng.uniform_u64(ports.size())];
+      const PortId b = ports[rng.uniform_u64(ports.size())];
+      const Bytes bytes = 1 + rng.uniform_u64(1u << 18);
+      const double latency = rng.chance(0.25) ? rng.uniform(0.0, 2.0) : 0.0;
+      sim.at(at, [&, a, b, bytes, latency] {
+        std::vector<PortId> path{a};
+        if (b != a) path.push_back(b);
+        fn.start_flow(
+            std::move(path), bytes,
+            [&] {
+              ++completions;
+              expect_rates_match_oracle(fn, "completion");
+            },
+            latency);
+        expect_rates_match_oracle(fn, "start");
+      });
     }
-    EXPECT_EQ(inc.sim.now(), full.sim.now());
-    for (std::size_t p = 0; p < inc.ports.size(); ++p)
-      EXPECT_EQ(inc.fn.port_bytes(inc.ports[p]),
-                full.fn.port_bytes(full.ports[p]));
-    // The point of the refactor: the incremental path re-solves far fewer
-    // flows for the same answer.
-    EXPECT_LT(inc.fn.solver_flows_solved(), full.fn.solver_flows_solved());
+    sim.run();
+    if (HasFailure()) return;
+    EXPECT_EQ(completions, 120u) << "seed " << seed;
+    EXPECT_EQ(fn.active_flows(), 0u) << "seed " << seed;
+    // The point of the incremental solver: far fewer flows re-solved for
+    // the same answer.
+    EXPECT_GT(fn.solver_flows_solved(), 0u) << "seed " << seed;
+    EXPECT_LT(fn.solver_flows_solved(), full_work) << "seed " << seed;
   }
 }
 

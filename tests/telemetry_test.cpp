@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -435,17 +436,21 @@ TEST(Integration, DisabledTelemetryStillDerivesResults) {
 // --- the metric catalog documents every emitted series -------------------
 
 /// Names in docs/OBSERVABILITY.md's "Metric catalog": every backticked
-/// name in the first column of a table row. The `a.b` / `.c` shorthand
-/// expands `.c` against the previous name, to a.c.
-std::set<std::string> catalogued_metric_names() {
+/// name in the first column of a table row — of every table, or only of
+/// the one under the `### <table>` heading when `table` is given. The
+/// `a.b` / `.c` shorthand expands `.c` against the previous name, to a.c.
+std::set<std::string> catalogued_metric_names(const std::string& table = "") {
   std::ifstream in(std::string(VDC_SOURCE_DIR) + "/docs/OBSERVABILITY.md");
   EXPECT_TRUE(in.good()) << "docs/OBSERVABILITY.md not found";
   std::set<std::string> names;
   bool in_catalog = false;
+  bool in_table = table.empty();
   std::string line;
   while (std::getline(in, line)) {
     if (line.rfind("## ", 0) == 0) in_catalog = line == "## Metric catalog";
-    if (!in_catalog || line.rfind('|', 0) != 0) continue;
+    if (!table.empty() && line.rfind("### ", 0) == 0)
+      in_table = line.compare(4, table.size(), table) == 0;
+    if (!in_catalog || !in_table || line.rfind('|', 0) != 0) continue;
     const std::string first = line.substr(1, line.find('|', 1) - 1);
     std::string previous;
     for (std::size_t open = first.find('`'); open != std::string::npos;) {
@@ -462,12 +467,20 @@ std::set<std::string> catalogued_metric_names() {
   return names;
 }
 
+/// Series names `runner` emitted.
+std::set<std::string> emitted(core::JobRunner& runner) {
+  std::set<std::string> names;
+  for (const Metric* metric : runner.sim().telemetry().metrics().all())
+    names.insert(metric->name);
+  return names;
+}
+
 /// Series names `runner` emitted that the catalog lacks.
 std::set<std::string> uncatalogued(core::JobRunner& runner,
                                    const std::set<std::string>& catalog) {
   std::set<std::string> missing;
-  for (const Metric* metric : runner.sim().telemetry().metrics().all())
-    if (!catalog.count(metric->name)) missing.insert(metric->name);
+  for (const auto& name : emitted(runner))
+    if (!catalog.count(name)) missing.insert(name);
   return missing;
 }
 
@@ -531,6 +544,29 @@ TEST(MetricCatalog, EveryEmittedSeriesIsDocumented) {
   EXPECT_TRUE(batch_missing.empty())
       << "batch job series missing from docs/OBSERVABILITY.md:"
       << joined(batch_missing);
+
+  // The reverse direction for the DVDC protocol table: every row is a
+  // series one of the two jobs emits, so the table cannot keep rows for
+  // code that is gone. Rows neither scenario can reach are named here.
+  const std::map<std::string, std::string> unreachable = {
+      {"dvdc.epochs_aborted",
+       "needs a failure to land inside an epoch's exchange window"},
+  };
+  std::set<std::string> seen = emitted(serving);
+  seen.merge(emitted(batch_runner));
+  const auto dvdc_rows = catalogued_metric_names("DVDC protocol");
+  ASSERT_TRUE(dvdc_rows.count("dvdc.epochs_committed"));
+  std::set<std::string> not_emitted;
+  for (const auto& name : dvdc_rows)
+    if (!seen.count(name) && !unreachable.count(name))
+      not_emitted.insert(name);
+  EXPECT_TRUE(not_emitted.empty())
+      << "DVDC protocol rows no scenario emits:" << joined(not_emitted);
+  for (const auto& [name, why] : unreachable) {
+    EXPECT_TRUE(dvdc_rows.count(name)) << name << " is no longer catalogued";
+    EXPECT_FALSE(seen.count(name))
+        << name << " is emitted now; drop it from the allow-list";
+  }
 }
 
 }  // namespace
