@@ -1,8 +1,8 @@
 #pragma once
 // Shared helpers for the benchmark/figure harnesses: aligned table output,
-// human-readable units, and opt-in trace capture (--trace=PREFIX or the
-// VDC_TRACE environment variable) that dumps one Chrome trace-event file
-// per instrumented run, loadable in chrome://tracing or Perfetto.
+// human-readable units, and opt-in trace capture (--trace=PREFIX) that
+// dumps one Chrome trace-event file per instrumented run, loadable in
+// chrome://tracing or Perfetto.
 
 #include <cstdio>
 #include <cstdlib>
@@ -17,17 +17,14 @@
 namespace vdc::bench {
 
 /// Where (and whether) to dump per-run traces. Disabled unless the binary
-/// got `--trace=PREFIX` or the VDC_TRACE env var names a prefix; each
-/// attached run then writes `PREFIX-<label>.json`.
+/// got `--trace=PREFIX`; each attached run then writes
+/// `PREFIX-<label>.json`.
 class TraceSpec {
  public:
   static TraceSpec from_args(int argc, char** argv) {
     TraceSpec spec;
     for (int i = 1; i < argc; ++i)
       if (std::strncmp(argv[i], "--trace=", 8) == 0) spec.prefix_ = argv[i] + 8;
-    if (spec.prefix_.empty())
-      if (const char* env = std::getenv("VDC_TRACE"))
-        spec.prefix_ = env;
     return spec;
   }
 

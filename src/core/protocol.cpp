@@ -212,9 +212,7 @@ struct DvdcCoordinator::GroupWork {
 DvdcCoordinator::DvdcCoordinator(simkit::Simulator& sim,
                                  cluster::ClusterManager& cluster,
                                  DvdcState& state, ProtocolConfig config)
-    : sim_(sim), cluster_(cluster), state_(state), config_(config) {
-  config_.chunking = net::ChunkPolicy::env_override(config_.chunking);
-}
+    : sim_(sim), cluster_(cluster), state_(state), config_(config) {}
 
 DvdcCoordinator::~DvdcCoordinator() = default;
 

@@ -78,9 +78,7 @@ struct ProtocolConfig {
   /// `chunking.chunk_bytes` segments with at most `chunking.pipeline_depth`
   /// in flight, folding every chunk into parity as it arrives (decode
   /// overlaps the wire). chunk_bytes == 0 (default) ships each
-  /// contribution as one flow, exactly the pre-chunking behaviour. The
-  /// VDC_CHUNK_BYTES / VDC_PIPELINE_DEPTH env vars override at
-  /// coordinator construction.
+  /// contribution as one flow, exactly the pre-chunking behaviour.
   net::ChunkPolicy chunking;
   /// Guest suspend + device quiesce cost (the paper's 40 ms).
   SimTime base_overhead = 0.040;

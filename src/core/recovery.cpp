@@ -46,7 +46,6 @@ RecoveryManager::RecoveryManager(simkit::Simulator& sim,
       workloads_(std::move(workloads)),
       config_(config) {
   VDC_REQUIRE(workloads_ != nullptr, "recovery needs a workload factory");
-  config_.chunking = net::ChunkPolicy::env_override(config_.chunking);
 }
 
 cluster::NodeId RecoveryManager::pick_target(

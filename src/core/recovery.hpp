@@ -30,8 +30,7 @@ struct RecoveryConfig {
   /// soon as every inbound stream has delivered it (decode overlaps the
   /// wire), and forwards of rebuilt data are released as the fold frontier
   /// advances. chunk_bytes == 0 (default) keeps the legacy
-  /// stream-all / decode / forward sequence. Env-overridable via
-  /// VDC_CHUNK_BYTES / VDC_PIPELINE_DEPTH at manager construction.
+  /// stream-all / decode / forward sequence.
   net::ChunkPolicy chunking;
 };
 

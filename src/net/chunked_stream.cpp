@@ -4,8 +4,6 @@
 
 #include "common/assert.hpp"
 #include "common/crc32.hpp"
-#include "common/env.hpp"
-#include "common/log.hpp"
 
 namespace vdc::net {
 
@@ -20,22 +18,6 @@ Bytes ChunkPolicy::chunk_size(Bytes total, std::size_t index) const {
   if (n == 1) return total;
   if (index + 1 < n) return chunk_bytes;
   return total - chunk_bytes * static_cast<Bytes>(n - 1);  // tail
-}
-
-ChunkPolicy ChunkPolicy::env_override(ChunkPolicy base) {
-  // Strict parses via env::int_knob: the whole string must be a number.
-  // atoll-style silent zero for garbage would turn a typo into "disable
-  // chunking", so malformed values are rejected with a warning and the
-  // configured policy stands.
-  if (const auto v = env::int_knob("VDC_CHUNK_BYTES"))
-    base.chunk_bytes = static_cast<Bytes>(*v);
-  if (const auto v = env::int_knob("VDC_PIPELINE_DEPTH")) {
-    if (*v == 0)
-      VDC_WARN("net", "ignoring VDC_PIPELINE_DEPTH=0: depth must be >= 1");
-    else
-      base.pipeline_depth = static_cast<std::size_t>(*v);
-  }
-  return base;
 }
 
 ChunkedStream::ChunkedStream(Fabric& fabric, HostId src, HostId dst,

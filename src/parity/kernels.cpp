@@ -2,12 +2,9 @@
 
 #include <array>
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/assert.hpp"
-#include "common/env.hpp"
-#include "common/log.hpp"
 #include "parity/gf256.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -255,25 +252,9 @@ const KernelOps* find_ops(KernelTier tier) {
   return nullptr;
 }
 
-const KernelOps& resolve_initial() {
-  // Validated knob: a misspelt tier ("avx", "sse") warns and keeps auto
-  // selection instead of silently running the scalar reference.
-  if (const auto env = env::enum_knob(
-          "VDC_PARITY_KERNEL", {"scalar", "blocked", "avx2", "neon", "auto"})) {
-    if (*env != "auto") {
-      if (const auto tier = parse_tier(*env))
-        if (const KernelOps* ops = find_ops(*tier)) return *ops;
-      // Valid name, unsupported here (e.g. VDC_PARITY_KERNEL=neon on
-      // x86): fall through to auto rather than crash the run.
-      VDC_WARN("parity", "VDC_PARITY_KERNEL=", *env,
-               " unsupported on this machine; using auto selection");
-    }
-  }
-  return kernel_for(supported_tiers().back());
-}
-
 std::atomic<const KernelOps*>& active_slot() {
-  static std::atomic<const KernelOps*> slot{&resolve_initial()};
+  static std::atomic<const KernelOps*> slot{
+      &kernel_for(supported_tiers().back())};
   return slot;
 }
 
@@ -319,14 +300,6 @@ const char* tier_name(KernelTier tier) {
       return "neon";
   }
   return "unknown";
-}
-
-std::optional<KernelTier> parse_tier(std::string_view name) {
-  if (name == "scalar") return KernelTier::Scalar;
-  if (name == "blocked") return KernelTier::Blocked;
-  if (name == "avx2") return KernelTier::Avx2;
-  if (name == "neon") return KernelTier::Neon;
-  return std::nullopt;
 }
 
 }  // namespace vdc::parity

@@ -5,7 +5,7 @@
 // XOR (dst ^= src) and the GF(256) multiply-accumulate (dst ^= c*src).
 // This header gives each primitive a small family of implementations —
 // kernel *tiers* — selected once at process start by CPU feature
-// detection, overridable for tests and benchmarks:
+// detection:
 //
 //   Scalar  — byte-at-a-time loops; the always-available equivalence
 //             reference.
@@ -25,14 +25,12 @@
 // the active kernel, so callers (capture XOR, parity folds, RDP encode,
 // recovery rebuilds) inherit SIMD without changes.
 //
-// Selection: VDC_PARITY_KERNEL=scalar|blocked|avx2|neon|auto (default
-// auto = best supported), read once at first use; set_active_tier()
-// overrides at runtime (tests/benches).
+// Selection: the best supported tier (supported_tiers().back()), resolved
+// once at first use; set_active_tier() switches it for conformance tests
+// and microbenchmarks.
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <string_view>
 #include <vector>
 
 namespace vdc::parity {
@@ -66,9 +64,8 @@ bool tier_supported(KernelTier tier);
 /// The ops table for a supported tier (throws on an unsupported one).
 const KernelOps& kernel_for(KernelTier tier);
 
-/// The process-wide active kernel: VDC_PARITY_KERNEL if set (and
-/// supported; an unsupported request falls back to auto), else the best
-/// supported tier. Resolved once, then stable until set_active_tier().
+/// The process-wide active kernel: the best supported tier, resolved
+/// once, then stable until set_active_tier().
 const KernelOps& active_kernel();
 
 /// Force the active tier (tests/benchmarks). Throws on unsupported.
@@ -76,8 +73,5 @@ void set_active_tier(KernelTier tier);
 
 /// "scalar" / "blocked" / "avx2" / "neon".
 const char* tier_name(KernelTier tier);
-
-/// Parse a tier name; nullopt for "auto" or anything unrecognized.
-std::optional<KernelTier> parse_tier(std::string_view name);
 
 }  // namespace vdc::parity

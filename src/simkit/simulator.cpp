@@ -44,8 +44,8 @@ EventId Simulator::at(SimTime t, Callback cb) {
   slot.t = std::max(t, now_);
   slot.key = (next_seq_++ << kSlotBits) | index;
   ++live_;
-  queue_->push(QueueEntry{slot.t, slot.key});
-  if (queue_->size() > queue_peak_) queue_peak_ = queue_->size();
+  queue_.push(QueueEntry{slot.t, slot.key});
+  if (queue_.size() > queue_peak_) queue_peak_ = queue_.size();
   return (static_cast<EventId>(slot.gen) << 32) | index;
 }
 
@@ -65,20 +65,20 @@ bool Simulator::cancel(EventId id) {
 }
 
 void Simulator::maybe_compact() {
-  if (queue_->size() < kCompactMinEntries) return;
-  if (live_ * 2 >= queue_->size()) return;
+  if (queue_.size() < kCompactMinEntries) return;
+  if (live_ * 2 >= queue_.size()) return;
   std::vector<QueueEntry> live;
   live.reserve(live_);
   for (const Slot& slot : slots_)
     if (slot.key != 0) live.push_back(QueueEntry{slot.t, slot.key});
-  queue_->assign(std::move(live));
+  queue_ = Queue(Later{}, std::move(live));
   ++compactions_;
 }
 
 bool Simulator::step() {
-  while (const QueueEntry* top = queue_->peek()) {
-    const QueueEntry item = *top;
-    queue_->pop();
+  while (!queue_.empty()) {
+    const QueueEntry item = queue_.top();
+    queue_.pop();
     const auto index = static_cast<std::uint32_t>(item.key & kSlotMask);
     Slot& slot = slots_[index];
     // A tombstone: cancelled, and the slot possibly reused since.
@@ -103,13 +103,14 @@ void Simulator::run(std::uint64_t max_events) {
 
 void Simulator::run_until(SimTime t) {
   VDC_ASSERT(t >= now_);
-  while (const QueueEntry* top = queue_->peek()) {
+  while (!queue_.empty()) {
+    const QueueEntry& top = queue_.top();
     // Skip tombstones at the head so we don't stop early on cancelled events.
-    if (slots_[top->key & kSlotMask].key != top->key) {
-      queue_->pop();
+    if (slots_[top.key & kSlotMask].key != top.key) {
+      queue_.pop();
       continue;
     }
-    if (top->t > t) break;
+    if (top.t > t) break;
     step();
   }
   now_ = t;

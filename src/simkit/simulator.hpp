@@ -7,11 +7,11 @@
 // substrates (network flows, disks, failures, the DVDC protocol) are built
 // as callbacks over this engine.
 //
-// The pending-event queue is pluggable (SimulatorConfig::queue or env
-// VDC_EVENT_QUEUE): the binary heap is the reference, the calendar queue
-// is the O(1)-amortized implementation for 10k-node runs. Both pop the
-// exact same (time, key) order, where an entry's key is its schedule
-// sequence number above its slot index: schedule order, FIFO at ties.
+// Pending events wait in one binary heap ordered by (time, key), where an
+// entry's key is its schedule sequence number above its slot index. Keys
+// are unique, so the pop order is a strict total order: time first, then
+// schedule order — FIFO at ties (tests/simulator_order_test.cpp holds it
+// to an independent model).
 //
 // Pending callbacks live in a slot table (fixed-size pages, so growth
 // never moves a callback) that reuses freed slots through a free list; no
@@ -27,27 +27,34 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <queue>
 #include <vector>
 
 #include "common/assert.hpp"
 #include "common/units.hpp"
-#include "simkit/event_queue.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace vdc::simkit {
 
-struct SimulatorConfig {
-  /// Pending-event queue implementation. Defaults to the VDC_EVENT_QUEUE
-  /// env var ("heap" | "calendar"), binary heap when unset.
-  QueueKind queue = default_queue_kind();
+using EventId = std::uint64_t;
+constexpr EventId kInvalidEvent = 0;
+
+struct QueueEntry {
+  SimTime t = 0.0;
+  std::uint64_t key = 0;
 };
+
+/// Strict (time, key) order: the simulator's same-time FIFO contract.
+inline bool entry_before(const QueueEntry& a, const QueueEntry& b) {
+  if (a.t != b.t) return a.t < b.t;
+  return a.key < b.key;
+}
 
 class Simulator {
  public:
   using Callback = std::function<void()>;
 
-  explicit Simulator(SimulatorConfig config = {})
-      : queue_(make_event_queue(config.queue)), telemetry_(&now_) {}
+  Simulator() : telemetry_(&now_) {}
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -101,12 +108,10 @@ class Simulator {
 
   /// Entries currently in the queue (live + tombstones); tests use it to
   /// observe tombstone compaction.
-  std::size_t queue_entries() const { return queue_->size(); }
+  std::size_t queue_entries() const { return queue_.size(); }
 
   /// Tombstone compactions performed (`sim.queue.compactions`).
   std::uint64_t compactions() const { return compactions_; }
-
-  const char* queue_name() const { return queue_->name(); }
 
  private:
   // Queue key = (sequence << kSlotBits) | slot: 2^24 events pending at
@@ -115,6 +120,16 @@ class Simulator {
   static constexpr std::uint64_t kSlotMask =
       (std::uint64_t{1} << kSlotBits) - 1;
   static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+  /// Heap comparator: std::priority_queue keeps its "largest" on top, so
+  /// "later" makes the earliest (time, key) the top.
+  struct Later {
+    bool operator()(const QueueEntry& a, const QueueEntry& b) const {
+      return entry_before(b, a);
+    }
+  };
+  using Queue = std::priority_queue<QueueEntry, std::vector<QueueEntry>,
+                                    Later>;
 
   /// One pending callback. A slot is live while `key != 0`.
   struct Slot {
@@ -141,7 +156,7 @@ class Simulator {
   std::uint64_t compactions_ = 0;
   std::size_t queue_peak_ = 0;
   std::size_t live_ = 0;
-  std::unique_ptr<EventQueue> queue_;
+  Queue queue_;
   std::deque<Slot> slots_;  // paged: references survive growth
   std::uint32_t free_head_ = kNoSlot;
   telemetry::Telemetry telemetry_;

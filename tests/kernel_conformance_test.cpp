@@ -232,18 +232,10 @@ TEST(KernelDispatch, UnsupportedTierThrows) {
 #endif
 }
 
-TEST(KernelDispatch, ParseTierNames) {
-  EXPECT_EQ(parse_tier("scalar"), KernelTier::Scalar);
-  EXPECT_EQ(parse_tier("blocked"), KernelTier::Blocked);
-  EXPECT_EQ(parse_tier("avx2"), KernelTier::Avx2);
-  EXPECT_EQ(parse_tier("neon"), KernelTier::Neon);
-  EXPECT_EQ(parse_tier("bogus"), std::nullopt);
-  EXPECT_EQ(parse_tier(""), std::nullopt);
-}
-
-TEST(KernelDispatch, TierNamesRoundTrip) {
-  for (KernelTier tier : supported_tiers())
-    EXPECT_EQ(parse_tier(tier_name(tier)), tier);
+// Auto-selection is the only selection rule: the best tier this CPU and
+// build support.
+TEST(KernelDispatch, DefaultIsBestSupportedTier) {
+  EXPECT_EQ(&active_kernel(), &kernel_for(supported_tiers().back()));
 }
 
 }  // namespace

@@ -608,17 +608,18 @@ TEST(ChunkedStream, CancelMidStreamStopsDeliveryAndDrainsGauges) {
   EXPECT_DOUBLE_EQ(sim.telemetry().metrics().value("stream.inflight"), 0.0);
 }
 
-TEST(ChunkedStream, EnvOverrideParsesKnobs) {
-  ::setenv("VDC_CHUNK_BYTES", "4096", 1);
-  ::setenv("VDC_PIPELINE_DEPTH", "7", 1);
-  const ChunkPolicy p = ChunkPolicy::env_override(ChunkPolicy{});
-  ::unsetenv("VDC_CHUNK_BYTES");
-  ::unsetenv("VDC_PIPELINE_DEPTH");
-  EXPECT_EQ(p.chunk_bytes, 4096u);
-  EXPECT_EQ(p.pipeline_depth, 7u);
-  const ChunkPolicy untouched = ChunkPolicy::env_override(ChunkPolicy{});
-  EXPECT_EQ(untouched.chunk_bytes, 0u);
-  EXPECT_EQ(untouched.pipeline_depth, 4u);
+// Chunking comes only from the config, so a bad pipeline depth is a
+// config error at stream start rather than something to warn about.
+TEST(ChunkedStream, ZeroPipelineDepthIsRejected) {
+  simkit::Simulator sim;
+  Fabric fabric(sim, 0.0);
+  const HostId a = fabric.add_host(100.0);
+  const HostId b = fabric.add_host(100.0);
+  ChunkPolicy p{.chunk_bytes = 100, .pipeline_depth = 0};
+  EXPECT_THROW(ChunkedStream::start(
+                   fabric, a, b, 400, p, [](const ChunkedStream::Chunk&) {},
+                   [] {}),
+               ConfigError);
 }
 
 }  // namespace

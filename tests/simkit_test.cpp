@@ -143,38 +143,16 @@ TEST(Simulator, CancelAndQueueMetricsPublished) {
   EXPECT_EQ(sim.cancelled(), 1u);
 }
 
-TEST(Simulator, CalendarQueueKeepsOrderingAndFifo) {
-  SimulatorConfig config;
-  config.queue = QueueKind::Calendar;
-  Simulator sim(config);
-  EXPECT_STREQ(sim.queue_name(), "calendar");
-  std::vector<int> order;
-  sim.at(3.0, [&] { order.push_back(30); });
-  sim.at(1.0, [&] { order.push_back(10); });
-  for (int i = 0; i < 10; ++i)
-    sim.at(5.0, [&order, i] { order.push_back(100 + i); });
-  sim.at(2.0, [&] { order.push_back(20); });
-  const EventId victim = sim.at(4.0, [&] { order.push_back(40); });
-  sim.cancel(victim);
-  sim.run();
-  std::vector<int> expect{10, 20, 30};
-  for (int i = 0; i < 10; ++i) expect.push_back(100 + i);
-  EXPECT_EQ(order, expect);
-  EXPECT_DOUBLE_EQ(sim.now(), 5.0);
-}
-
-TEST(Simulator, CalendarQueueRunUntilAndFarFuture) {
-  SimulatorConfig config;
-  config.queue = QueueKind::Calendar;
-  Simulator sim(config);
+TEST(Simulator, RunUntilLeavesFarFutureEventPending) {
+  Simulator sim;
   int fired = 0;
-  // Dense head plus one sparse far-future watchdog (the pattern that
-  // forces the calendar queue's direct-search fallback).
+  // Dense head plus one sparse far-future watchdog.
   for (int i = 0; i < 100; ++i) sim.after(0.001 * i, [&] { ++fired; });
   sim.at(1e6, [&] { ++fired; });
   sim.run_until(1.0);
   EXPECT_EQ(fired, 100);
   EXPECT_DOUBLE_EQ(sim.now(), 1.0);
+  EXPECT_EQ(sim.pending_count(), 1u);
   sim.run();
   EXPECT_EQ(fired, 101);
   EXPECT_DOUBLE_EQ(sim.now(), 1e6);
@@ -212,81 +190,68 @@ TEST(Simulator, StaleIdNeverReachesReusedSlot) {
 }
 
 TEST(Simulator, TombstoneOfReusedSlotIsSkipped) {
-  for (const QueueKind kind : {QueueKind::BinaryHeap, QueueKind::Calendar}) {
-    SimulatorConfig config;
-    config.queue = kind;
-    Simulator sim(config);
-    std::vector<double> fired_at;
-    const EventId victim = sim.at(1.0, [&] { fired_at.push_back(-1.0); });
-    sim.cancel(victim);
-    // Takes the victim's slot while its tombstone is still queued at t=1.
-    sim.at(2.0, [&] { fired_at.push_back(sim.now()); });
-    EXPECT_EQ(sim.queue_entries(), 2u);
-    sim.run_until(1.5);
-    EXPECT_TRUE(fired_at.empty()) << sim.queue_name();
-    sim.run();
-    EXPECT_EQ(fired_at, (std::vector<double>{2.0})) << sim.queue_name();
-    EXPECT_EQ(sim.executed(), 1u);
-  }
+  Simulator sim;
+  std::vector<double> fired_at;
+  const EventId victim = sim.at(1.0, [&] { fired_at.push_back(-1.0); });
+  sim.cancel(victim);
+  // Takes the victim's slot while its tombstone is still queued at t=1.
+  sim.at(2.0, [&] { fired_at.push_back(sim.now()); });
+  EXPECT_EQ(sim.queue_entries(), 2u);
+  sim.run_until(1.5);
+  EXPECT_TRUE(fired_at.empty());
+  sim.run();
+  EXPECT_EQ(fired_at, (std::vector<double>{2.0}));
+  EXPECT_EQ(sim.executed(), 1u);
 }
 
 TEST(Simulator, CompactionWithReusedSlotsKeepsOrder) {
-  for (const QueueKind kind : {QueueKind::BinaryHeap, QueueKind::Calendar}) {
-    SimulatorConfig config;
-    config.queue = kind;
-    Simulator sim(config);
-    std::vector<int> order;
-    std::vector<double> times;
-    std::vector<EventId> ids;
-    std::vector<bool> live;
-    auto schedule = [&](double t) {
-      const int tag = static_cast<int>(ids.size());
-      ids.push_back(sim.at(t, [&order, tag] { order.push_back(tag); }));
-      times.push_back(t);
-      live.push_back(true);
-    };
-    auto cancel = [&](int tag) {
-      EXPECT_TRUE(sim.cancel(ids[tag]));
-      live[tag] = false;
-    };
-    // 64 distinct times, so same-time order rests on schedule order.
-    for (int i = 0; i < 2048; ++i) schedule(1.0 + i % 64);
-    for (int i = 0; i < 2048; i += 2) cancel(i);  // frees 1024 slots
-    for (int i = 0; i < 2048; ++i) schedule(1.0 + i % 64);  // reuses them
-    for (int i = 1; i < 2048; i += 2) cancel(i);
-    EXPECT_EQ(sim.compactions(), 0u);
-    for (int i = 2048; i < 2048 + 64; ++i) cancel(i);
-    EXPECT_EQ(sim.compactions(), 1u);
+  Simulator sim;
+  std::vector<int> order;
+  std::vector<double> times;
+  std::vector<EventId> ids;
+  std::vector<bool> live;
+  auto schedule = [&](double t) {
+    const int tag = static_cast<int>(ids.size());
+    ids.push_back(sim.at(t, [&order, tag] { order.push_back(tag); }));
+    times.push_back(t);
+    live.push_back(true);
+  };
+  auto cancel = [&](int tag) {
+    EXPECT_TRUE(sim.cancel(ids[tag]));
+    live[tag] = false;
+  };
+  // 64 distinct times, so same-time order rests on schedule order.
+  for (int i = 0; i < 2048; ++i) schedule(1.0 + i % 64);
+  for (int i = 0; i < 2048; i += 2) cancel(i);  // frees 1024 slots
+  for (int i = 0; i < 2048; ++i) schedule(1.0 + i % 64);  // reuses them
+  for (int i = 1; i < 2048; i += 2) cancel(i);
+  EXPECT_EQ(sim.compactions(), 0u);
+  for (int i = 2048; i < 2048 + 64; ++i) cancel(i);
+  EXPECT_EQ(sim.compactions(), 1u);
 
-    std::vector<int> expect;
-    for (int tag = 0; tag < static_cast<int>(ids.size()); ++tag)
-      if (live[tag]) expect.push_back(tag);
-    std::stable_sort(expect.begin(), expect.end(),
-                     [&](int a, int b) { return times[a] < times[b]; });
-    EXPECT_EQ(sim.pending_count(), expect.size());
-    sim.run();
-    EXPECT_EQ(order, expect) << sim.queue_name();
-  }
+  std::vector<int> expect;
+  for (int tag = 0; tag < static_cast<int>(ids.size()); ++tag)
+    if (live[tag]) expect.push_back(tag);
+  std::stable_sort(expect.begin(), expect.end(),
+                   [&](int a, int b) { return times[a] < times[b]; });
+  EXPECT_EQ(sim.pending_count(), expect.size());
+  sim.run();
+  EXPECT_EQ(order, expect);
 }
 
 TEST(Simulator, SameTimeFifoAcrossSlotReuse) {
-  for (const QueueKind kind : {QueueKind::BinaryHeap, QueueKind::Calendar}) {
-    SimulatorConfig config;
-    config.queue = kind;
-    Simulator sim(config);
-    std::vector<int> order;
-    std::vector<EventId> ids;
-    for (int i = 0; i < 8; ++i)
-      ids.push_back(sim.at(5.0, [&order, i] { order.push_back(i); }));
-    // Free slots 0..3 in ascending order: the free list hands them back
-    // highest first, so later events sit in LOWER slots than earlier ones.
-    for (int i = 0; i < 4; ++i) sim.cancel(ids[i]);
-    for (int i = 8; i < 12; ++i)
-      sim.at(5.0, [&order, i] { order.push_back(i); });
-    sim.run();
-    EXPECT_EQ(order, (std::vector<int>{4, 5, 6, 7, 8, 9, 10, 11}))
-        << sim.queue_name();
-  }
+  Simulator sim;
+  std::vector<int> order;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 8; ++i)
+    ids.push_back(sim.at(5.0, [&order, i] { order.push_back(i); }));
+  // Free slots 0..3 in ascending order: the free list hands them back
+  // highest first, so later events sit in LOWER slots than earlier ones.
+  for (int i = 0; i < 4; ++i) sim.cancel(ids[i]);
+  for (int i = 8; i < 12; ++i)
+    sim.at(5.0, [&order, i] { order.push_back(i); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{4, 5, 6, 7, 8, 9, 10, 11}));
 }
 
 TEST(Resource, ServesFcfs) {

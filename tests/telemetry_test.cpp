@@ -12,6 +12,7 @@
 #include <sstream>
 #include <string>
 
+#include "core/baseline.hpp"
 #include "core/runtime.hpp"
 #include "net/fabric.hpp"
 #include "telemetry/sinks.hpp"
@@ -337,6 +338,15 @@ core::JobRunner::BackendFactory dvdc_factory(const core::ClusterConfig& cc) {
   };
 }
 
+core::JobRunner::BackendFactory diskfull_factory(
+    const core::ClusterConfig& cc) {
+  return [cc](simkit::Simulator& sim, cluster::ClusterManager& cluster,
+              Rng&) -> std::unique_ptr<core::CheckpointBackend> {
+    return std::make_unique<core::DiskFullBackend>(
+        sim, cluster, core::make_workload_factory(cc));
+  };
+}
+
 core::ClusterConfig small_cluster() {
   core::ClusterConfig cc;
   cc.nodes = 4;
@@ -545,25 +555,51 @@ TEST(MetricCatalog, EveryEmittedSeriesIsDocumented) {
       << "batch job series missing from docs/OBSERVABILITY.md:"
       << joined(batch_missing);
 
-  // The reverse direction for the DVDC protocol table: every row is a
-  // series one of the two jobs emits, so the table cannot keep rows for
-  // code that is gone. Rows neither scenario can reach are named here.
+  // The same batch job on the disk-full baseline: the NAS and its disk
+  // array, written every epoch and read back by the recovery.
+  core::JobRunner diskfull(batch, small_cluster(),
+                           diskfull_factory(small_cluster()));
+  ASSERT_TRUE(diskfull.run().finished);
+  const auto diskfull_missing = uncatalogued(diskfull, catalog);
+  EXPECT_TRUE(diskfull_missing.empty())
+      << "disk-full job series missing from docs/OBSERVABILITY.md:"
+      << joined(diskfull_missing);
+
+  // The reverse direction for the tables these jobs cover: every row is a
+  // series one of them emits, so a table cannot keep rows for code that is
+  // gone. Rows no scenario can reach are named here.
   const std::map<std::string, std::string> unreachable = {
       {"dvdc.epochs_aborted",
        "needs a failure to land inside an epoch's exchange window"},
+      {"plan.groups_reused",
+       "needs a replan over a plan whose groups lost orthogonality"},
+      {"sim.events.cancelled",
+       "JobRunner drives step(); only run()/run_until() publish it"},
+      {"sim.queue.peak",
+       "JobRunner drives step(); only run()/run_until() publish it"},
+      {"sim.queue.compactions",
+       "JobRunner drives step(); only run()/run_until() publish it"},
+      {"net.retransmits", "needs a stream chunk dropped or corrupted"},
+      {"net.corrupt_frames", "needs a corrupting link fault"},
   };
   std::set<std::string> seen = emitted(serving);
   seen.merge(emitted(batch_runner));
-  const auto dvdc_rows = catalogued_metric_names("DVDC protocol");
-  ASSERT_TRUE(dvdc_rows.count("dvdc.epochs_committed"));
-  std::set<std::string> not_emitted;
-  for (const auto& name : dvdc_rows)
-    if (!seen.count(name) && !unreachable.count(name))
-      not_emitted.insert(name);
-  EXPECT_TRUE(not_emitted.empty())
-      << "DVDC protocol rows no scenario emits:" << joined(not_emitted);
+  seen.merge(emitted(diskfull));
+  std::set<std::string> rows;
+  for (const char* table :
+       {"DVDC protocol", "Simulator and planner", "Fabric and storage"}) {
+    const auto table_rows = catalogued_metric_names(table);
+    EXPECT_FALSE(table_rows.empty()) << "no rows under ### " << table;
+    std::set<std::string> not_emitted;
+    for (const auto& name : table_rows)
+      if (!seen.count(name) && !unreachable.count(name))
+        not_emitted.insert(name);
+    EXPECT_TRUE(not_emitted.empty())
+        << table << " rows no scenario emits:" << joined(not_emitted);
+    rows.insert(table_rows.begin(), table_rows.end());
+  }
   for (const auto& [name, why] : unreachable) {
-    EXPECT_TRUE(dvdc_rows.count(name)) << name << " is no longer catalogued";
+    EXPECT_TRUE(rows.count(name)) << name << " is no longer catalogued";
     EXPECT_FALSE(seen.count(name))
         << name << " is emitted now; drop it from the allow-list";
   }
