@@ -179,6 +179,28 @@ void ClusterManager::advance_workloads(SimTime dt) {
     if (n->alive()) n->hypervisor().advance_all(dt);
 }
 
+void ClusterManager::pause_guests() {
+  for (auto& n : nodes_)
+    if (n->alive()) n->hypervisor().pause_all();
+}
+
+void ClusterManager::resume_guests() {
+  for (auto& n : nodes_)
+    if (n->alive()) n->hypervisor().resume_all();
+}
+
+NodeId ClusterManager::least_loaded_node() const {
+  const PhysicalNode* best = nullptr;
+  for (const auto& n : nodes_) {
+    if (!n->alive()) continue;
+    if (best == nullptr ||
+        n->hypervisor().vm_count() < best->hypervisor().vm_count())
+      best = n.get();
+  }
+  VDC_REQUIRE(best != nullptr, "no live node to place a guest on");
+  return best->id();
+}
+
 std::vector<vm::VmId> ClusterManager::kill_rack(RackId rack) {
   std::vector<vm::VmId> all_lost;
   // Snapshot victims first: kill_node mutates alive state.

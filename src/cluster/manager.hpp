@@ -166,9 +166,17 @@ class ClusterManager {
   bool degraded() const { return degraded_; }
   void set_degraded(bool on);
 
-  // --- time ----------------------------------------------------------------
+  // --- guests --------------------------------------------------------------
   /// Advance every running guest on every live node by `dt`.
   void advance_workloads(SimTime dt);
+
+  /// Pause / resume every guest on every live node (a cluster-wide cut).
+  void pause_guests();
+  void resume_guests();
+
+  /// The live node hosting the fewest VMs, the lowest id on a tie: where a
+  /// re-created guest goes. Requires a live node.
+  NodeId least_loaded_node() const;
 
   NameService& names() { return names_; }
 

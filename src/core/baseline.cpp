@@ -73,8 +73,7 @@ void DiskFullBackend::checkpoint(checkpoint::Epoch epoch, EpochDone done) {
   sim_.after(stall, [this, gen, streams, stall] {
     if (gen != generation_ || !in_flight_) return;
     if (!config_.synchronous) {
-      for (cluster::NodeId nid : cluster_.alive_nodes())
-        cluster_.node(nid).hypervisor().resume_all();
+      cluster_.resume_guests();
       stats_.overhead = stall;
     }
     const auto commit = [this, gen] {
@@ -90,8 +89,7 @@ void DiskFullBackend::checkpoint(checkpoint::Epoch epoch, EpochDone done) {
         metrics.add("diskfull.bytes_to_nas",
                     static_cast<double>(stats_.bytes_shipped));
         if (config_.synchronous) {
-          for (cluster::NodeId nid : cluster_.alive_nodes())
-            cluster_.node(nid).hypervisor().resume_all();
+          cluster_.resume_guests();
           stats_.overhead = sim_.now() - epoch_start_;
         }
         stats_.latency = sim_.now() - epoch_start_;
@@ -148,8 +146,7 @@ void DiskFullBackend::handle_failure(const std::vector<vm::VmId>& lost,
     done(rs);
     return;
   }
-  for (cluster::NodeId nid : cluster_.alive_nodes())
-    cluster_.node(nid).hypervisor().pause_all();
+  cluster_.pause_guests();
 
   auto stats = std::make_shared<RecoveryStats>();
   const SimTime start = sim_.now();
@@ -176,8 +173,7 @@ void DiskFullBackend::handle_failure(const std::vector<vm::VmId>& lost,
   auto finish = [this, rgen, stats, start, done]() {
     if (rgen != recovery_generation_) return;  // aborted
     recovery_active_ = false;
-    for (cluster::NodeId nid : cluster_.alive_nodes())
-      cluster_.node(nid).hypervisor().resume_all();
+    cluster_.resume_guests();
     stats->duration = sim_.now() - start;
     stats->success = true;
     auto& metrics = sim_.telemetry().metrics();
@@ -194,20 +190,11 @@ void DiskFullBackend::handle_failure(const std::vector<vm::VmId>& lost,
       rs.success = false;
       rs.reason = "lost VM has no durable checkpoint";
       recovery_active_ = false;
-      for (cluster::NodeId nid : cluster_.alive_nodes())
-        cluster_.node(nid).hypervisor().resume_all();
+      cluster_.resume_guests();
       done(rs);
       return;
     }
-    cluster::NodeId target = cluster_.alive_nodes().front();
-    std::size_t best = ~std::size_t{0};
-    for (cluster::NodeId nid : cluster_.alive_nodes()) {
-      const std::size_t load = cluster_.node(nid).hypervisor().vm_count();
-      if (load < best) {
-        best = load;
-        target = nid;
-      }
-    }
+    const cluster::NodeId target = cluster_.least_loaded_node();
     // Re-create the guest now (content from the durable checkpoint); the
     // fetch time is charged through the NAS read path below.
     auto it = vm_info_.find(vmid);

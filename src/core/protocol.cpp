@@ -601,8 +601,7 @@ void DvdcCoordinator::run_epoch(const PlacedPlan& plan,
               static_cast<double>(static_cast<int>(parity::active_kernel().tier)));
 
   // 1. Quiesce: a consistent cluster-wide cut.
-  for (cluster::NodeId nid : cluster_.alive_nodes())
-    cluster_.node(nid).hypervisor().pause_all();
+  cluster_.pause_guests();
 
   // 2. Capture + diff every member at the cut, build per-group work: read
   // the dirty bitmap, share unchanged pages with the previous checkpoint
@@ -685,10 +684,7 @@ void DvdcCoordinator::run_epoch(const PlacedPlan& plan,
 
   sim_.after(stall, [this, gen] {
     if (gen != generation_ || !in_flight_) return;
-    if (config_.copy_on_write) {
-      for (cluster::NodeId nid : cluster_.alive_nodes())
-        cluster_.node(nid).hypervisor().resume_all();
-    }
+    if (config_.copy_on_write) cluster_.resume_guests();
     // The quiesce/capture/resume boundaries are known exactly here: the
     // quiesce cut costs base_overhead, local capture runs to the end of
     // the stall (zero-length under copy-on-write), and resume is the
@@ -933,8 +929,7 @@ void DvdcCoordinator::try_commit(std::uint64_t gen) {
     state_.node_store(nid).gc_before(epoch_);
 
   if (!config_.copy_on_write) {
-    for (cluster::NodeId nid : cluster_.alive_nodes())
-      cluster_.node(nid).hypervisor().resume_all();
+    cluster_.resume_guests();
     overhead_ = sim_.now() - epoch_start_;
   }
 

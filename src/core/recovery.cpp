@@ -195,8 +195,7 @@ void RecoveryManager::recover(const PlacedPlan& plan,
     ctx->stats.pipeline_overlap =
         metrics.value("recovery.pipeline.overlap_s", ctx->labels);
     metrics.observe("recovery.duration_s", ctx->stats.duration);
-    for (cluster::NodeId nid : cluster_.alive_nodes())
-      cluster_.node(nid).hypervisor().resume_all();
+    cluster_.resume_guests();
     ctx->done_holder.front()(ctx->stats);
   };
 
@@ -207,8 +206,7 @@ void RecoveryManager::recover(const PlacedPlan& plan,
   }
 
   // Freeze the cluster during recovery.
-  for (cluster::NodeId nid : cluster_.alive_nodes())
-    cluster_.node(nid).hypervisor().pause_all();
+  cluster_.pause_guests();
 
   // 1. Bucket the losses by RAID group.
   std::map<GroupId, std::vector<vm::VmId>> lost_by_group;
@@ -543,8 +541,7 @@ void RecoveryManager::recover(const PlacedPlan& plan,
       // done (safe here: no GroupRun closure is on the stack).
       ctx->group_runs.clear();
       ctx->streams.clear();
-      for (cluster::NodeId nid : cluster_.alive_nodes())
-        cluster_.node(nid).hypervisor().resume_all();
+      cluster_.resume_guests();
       ctx->stats.duration = sim_.now() - ctx->start;
       ctx->stats.success = true;
       auto& metrics = sim_.telemetry().metrics();

@@ -201,6 +201,7 @@ RunResult JobRunner::run() {
   if (detector_) detector_->stop();
   if (control_) control_->stop();
   if (traffic_) traffic_->stop();
+  sim_.publish_metrics();
 
   result_.finished = finished_;
   if (finished_) {
@@ -283,8 +284,7 @@ void JobRunner::on_capture_point() {
   settle_workloads();
   work_at_resume_ = current_work();
   computing_ = false;
-  for (cluster::NodeId nid : cluster_->alive_nodes())
-    cluster_->node(nid).hypervisor().pause_all();
+  cluster_->pause_guests();
 
   const SimTime cut_time = sim_.now();
   const SimTime cut_work = work_at_resume_;
@@ -315,8 +315,7 @@ void JobRunner::on_capture_point() {
       // Output commit: egress buffered for this epoch would have exposed
       // state that never became durable — drop it; clients retry.
       if (traffic_) traffic_->on_epoch_abort();
-      for (cluster::NodeId nid : cluster_->alive_nodes())
-        cluster_->node(nid).hypervisor().resume_all();
+      cluster_->resume_guests();
       computing_ = true;
       resume_time_ = sim_.now();
       schedule_segment();
@@ -392,9 +391,57 @@ void JobRunner::on_failure_event(cluster::NodeId raw_victim, bool exact) {
     return;
   }
 
+  open_episode(victim);
+  if (detector_) {
+    // Wire-true detection: the victim just falls silent. Recovery arms
+    // when the detector times out on it; the detect span is recorded then
+    // with the latency actually measured (on_detected).
+    detector_->note_failure(victim, sim_.now());
+    episode_.awaiting.insert(victim);
+    episode_.on_detected = [this] { start_recovery_attempt(); };
+    return;
+  }
+
+  // Oracle detection: charge the fixed delay.
+  sim_.telemetry().record_span("recovery.detect", sim_.now(),
+                               sim_.now() + job_.detection_time,
+                               {{"victim", std::to_string(victim)}},
+                               episode_.span);
+  episode_.pending = sim_.after(job_.detection_time, [this] {
+    episode_.pending = simkit::kInvalidEvent;
+    start_recovery_attempt();
+  });
+}
+
+std::vector<vm::VmId> JobRunner::take_down(cluster::NodeId victim) {
+  std::vector<vm::VmId> lost = cluster_->node(victim).hypervisor().vm_ids();
+  cluster_->kill_node(victim);
+  backend_->on_node_failure(victim);
+  // Replica hardware died: volatile raft state goes with it. This runs
+  // BEFORE log_entry so a record about the dead leader routes through
+  // (or queues for) its successor, never through the corpse. A suspected
+  // zombie is physically alive behind the partition, so its replica keeps
+  // running — fencing is what keeps a deposed zombie leader out of the
+  // quorum.
+  if (control_ && zombies_.count(victim) == 0)
+    control_->on_node_death(victim);
+  log_entry(control_record(
+      controlplane::ControlEntry::Kind::kNodeFailed, victim));
+  return lost;
+}
+
+void JobRunner::fence(cluster::NodeId victim) {
+  const std::uint64_t token = backend_->committed_epoch() + 1;
+  cluster_->fence_node(victim, token);
+  log_entry(control_record(controlplane::ControlEntry::Kind::kNodeFenced,
+                           victim, token));
+}
+
+void JobRunner::open_episode(cluster::NodeId victim) {
+  auto& tel = sim_.telemetry();
   // Work since the last committed cut is lost.
-  const SimTime w = current_work();
-  metrics.add("job.lost_work_s", std::max(0.0, w - committed_work_));
+  tel.metrics().add("job.lost_work_s",
+                    std::max(0.0, current_work() - committed_work_));
   computing_ = false;
   work_at_resume_ = committed_work_;
   if (pending_event_ != simkit::kInvalidEvent) {
@@ -403,16 +450,7 @@ void JobRunner::on_failure_event(cluster::NodeId raw_victim, bool exact) {
   }
   backend_->abort_checkpoint();
 
-  const std::vector<vm::VmId> lost =
-      cluster_->node(victim).hypervisor().vm_ids();
-  cluster_->kill_node(victim);
-  backend_->on_node_failure(victim);
-  // Replica hardware died: volatile raft state goes with it. This runs
-  // BEFORE log_entry so a record about the dead leader routes through
-  // (or queues for) its successor, never through the corpse.
-  if (control_) control_->on_node_death(victim);
-  log_entry(control_record(
-      controlplane::ControlEntry::Kind::kNodeFailed, victim));
+  std::vector<vm::VmId> lost = take_down(victim);
   if (traffic_) {
     // The cluster will roll back to the committed cut: uncommitted egress
     // is dropped before any client can see it, and the victim's service
@@ -420,6 +458,7 @@ void JobRunner::on_failure_event(cluster::NodeId raw_victim, bool exact) {
     traffic_->on_failover_begin();
     traffic_->on_node_failure(lost);
   }
+  if (detector_) fence(victim);
   recovering_ = true;
   cluster_->set_degraded(true);
   log_entry(control_record(
@@ -428,36 +467,13 @@ void JobRunner::on_failure_event(cluster::NodeId raw_victim, bool exact) {
   episode_ = Episode{};
   episode_.start = sim_.now();
   episode_.victims.push_back(victim);
-  episode_.lost = lost;
+  episode_.lost = std::move(lost);
   notify(JobEvent::Kind::Failure, victim);
 
   // Root span for the whole recovery episode; the backend's manager nests
   // reconstruct/replace/rollback under this root while it stays open.
-  auto& tel = sim_.telemetry();
-  const telemetry::Labels victim_labels{{"victim", std::to_string(victim)}};
-  episode_.span = tel.begin_span("recovery", victim_labels);
-
-  if (detector_) {
-    // Wire-true detection: the victim just falls silent. Recovery arms
-    // when the detector times out on it; the detect span is recorded then
-    // with the latency actually measured (on_detected).
-    cluster_->fence_node(victim, backend_->committed_epoch() + 1);
-    log_entry(control_record(controlplane::ControlEntry::Kind::kNodeFenced,
-                             victim, backend_->committed_epoch() + 1));
-    detector_->note_failure(victim, sim_.now());
-    episode_.awaiting.insert(victim);
-    episode_.on_detected = [this] { start_recovery_attempt(); };
-    return;
-  }
-
-  // Oracle detection: charge the fixed delay.
-  tel.record_span("recovery.detect", sim_.now(),
-                  sim_.now() + job_.detection_time, victim_labels,
-                  episode_.span);
-  episode_.pending = sim_.after(job_.detection_time, [this] {
-    episode_.pending = simkit::kInvalidEvent;
-    start_recovery_attempt();
-  });
+  episode_.span =
+      tel.begin_span("recovery", {{"victim", std::to_string(victim)}});
 }
 
 void JobRunner::on_cascade_failure(cluster::NodeId victim,
@@ -468,16 +484,7 @@ void JobRunner::on_cascade_failure(cluster::NodeId victim,
   metrics.add("recovery.cascades", 1.0);
   ++episode_.cascades;
 
-  const std::vector<vm::VmId> lost =
-      cluster_->node(victim).hypervisor().vm_ids();
-  cluster_->kill_node(victim);
-  backend_->on_node_failure(victim);
-  // A suspected (zombie) victim folding in is physically alive behind the
-  // partition — its replica keeps running; only real deaths reset one.
-  if (control_ && zombies_.count(victim) == 0)
-    control_->on_node_death(victim);
-  log_entry(control_record(
-      controlplane::ControlEntry::Kind::kNodeFailed, victim));
+  const std::vector<vm::VmId> lost = take_down(victim);
   ++recovery_wait_seq_;  // a deferred attempt is stale against the new victim
   if (traffic_) traffic_->on_node_failure(lost);
   if (std::find(episode_.victims.begin(), episode_.victims.end(), victim) ==
@@ -503,67 +510,37 @@ void JobRunner::on_cascade_failure(cluster::NodeId victim,
   }
   notify(JobEvent::Kind::Cascade, victim);
 
-  const telemetry::Labels victim_labels{{"victim", std::to_string(victim)}};
-
   if (detector_) {
     // Wire mode: a fresh victim must time out on the detector before the
     // episode can move again; a suspicion folding in already has.
-    cluster_->fence_node(victim, backend_->committed_epoch() + 1);
-    log_entry(control_record(controlplane::ControlEntry::Kind::kNodeFenced,
-                             victim, backend_->committed_epoch() + 1));
+    fence(victim);
     if (!already_detected) {
       detector_->note_failure(victim, sim_.now());
       episode_.awaiting.insert(victim);
     }
-    const SimTime backoff =
-        episode_.restarting ? 0.0 : retry_backoff(episode_.attempts + 1);
-    const bool restarting = episode_.restarting;
-    episode_.on_detected = [this, backoff, restarting] {
-      if (restarting) {
-        restart_job(episode_.lost);
-        return;
-      }
-      if (backoff > 0.0)
-        sim_.telemetry().record_span(
-            "recovery.retry", sim_.now(), sim_.now() + backoff,
-            {{"attempt", std::to_string(episode_.attempts + 1)}},
-            episode_.span);
-      episode_.pending = sim_.after(backoff, [this] {
-        episode_.pending = simkit::kInvalidEvent;
-        start_recovery_attempt();
-      });
+    episode_.on_detected = [this] {
+      if (episode_.restarting)
+        restart_job();
+      else
+        retry_after(0.0);
     };
-    if (episode_.awaiting.empty()) {
-      auto cont = std::move(episode_.on_detected);
-      episode_.on_detected = nullptr;
-      cont();
-    }
+    if (episode_.awaiting.empty())
+      std::exchange(episode_.on_detected, nullptr)();
     return;
   }
 
   tel.record_span("recovery.detect", sim_.now(),
-                  sim_.now() + job_.detection_time, victim_labels,
-                  episode_.span);
-
-  if (episode_.restarting) {
-    // The episode already escalated to a job restart; fold the new victim
-    // in and restart again once its failure is detected.
-    episode_.pending = sim_.after(job_.detection_time, [this] {
-      episode_.pending = simkit::kInvalidEvent;
-      restart_job(episode_.lost);
-    });
+                  sim_.now() + job_.detection_time,
+                  {{"victim", std::to_string(victim)}}, episode_.span);
+  if (!episode_.restarting) {
+    retry_after(job_.detection_time);
     return;
   }
-
-  const SimTime backoff = retry_backoff(episode_.attempts + 1);
-  if (backoff > 0.0)
-    tel.record_span("recovery.retry", sim_.now() + job_.detection_time,
-                    sim_.now() + job_.detection_time + backoff,
-                    {{"attempt", std::to_string(episode_.attempts + 1)}},
-                    episode_.span);
-  episode_.pending = sim_.after(job_.detection_time + backoff, [this] {
+  // The episode already escalated to a job restart; fold the new victim
+  // in and restart again once its failure is detected.
+  episode_.pending = sim_.after(job_.detection_time, [this] {
     episode_.pending = simkit::kInvalidEvent;
-    start_recovery_attempt();
+    restart_job();
   });
 }
 
@@ -576,11 +553,8 @@ void JobRunner::on_detected(cluster::NodeId node, SimTime latency) {
         "recovery.detect", sim_.now() - latency, sim_.now(),
         {{"victim", std::to_string(node)}}, episode_.span);
     episode_.awaiting.erase(node);
-    if (episode_.awaiting.empty() && episode_.on_detected) {
-      auto cont = std::move(episode_.on_detected);
-      episode_.on_detected = nullptr;
-      cont();
-    }
+    if (episode_.awaiting.empty() && episode_.on_detected)
+      std::exchange(episode_.on_detected, nullptr)();
     return;
   }
   // Unawaited detection of a live node: the fabric ate its beats — a
@@ -592,8 +566,7 @@ void JobRunner::on_detected(cluster::NodeId node, SimTime latency) {
 
 void JobRunner::on_suspected(cluster::NodeId victim, SimTime latency) {
   auto& tel = sim_.telemetry();
-  auto& metrics = tel.metrics();
-  metrics.add("job.suspected_failures", 1.0);
+  tel.metrics().add("job.suspected_failures", 1.0);
   VDC_INFO("runtime", "node ", victim,
            " suspected failed (no beats); declaring it dead");
   // The cluster acts on its belief: the unreachable node is declared
@@ -606,50 +579,10 @@ void JobRunner::on_suspected(cluster::NodeId victim, SimTime latency) {
     on_cascade_failure(victim, /*already_detected=*/true);
     return;
   }
-
-  // Mirror of on_failure_event's healthy-state path, with detection
-  // already satisfied — the timeout that fired IS the detection.
-  const SimTime w = current_work();
-  metrics.add("job.lost_work_s", std::max(0.0, w - committed_work_));
-  computing_ = false;
-  work_at_resume_ = committed_work_;
-  if (pending_event_ != simkit::kInvalidEvent) {
-    sim_.cancel(pending_event_);
-    pending_event_ = simkit::kInvalidEvent;
-  }
-  backend_->abort_checkpoint();
-
-  const std::vector<vm::VmId> lost =
-      cluster_->node(victim).hypervisor().vm_ids();
-  cluster_->kill_node(victim);
-  backend_->on_node_failure(victim);
-  // No control_->on_node_death: the suspect is physically alive behind
-  // the partition, so its replica keeps running — fencing (below) is what
-  // keeps a deposed zombie leader out of the quorum.
-  log_entry(control_record(
-      controlplane::ControlEntry::Kind::kNodeFailed, victim));
-  if (traffic_) {
-    traffic_->on_failover_begin();
-    traffic_->on_node_failure(lost);
-  }
-  cluster_->fence_node(victim, backend_->committed_epoch() + 1);
-  log_entry(control_record(controlplane::ControlEntry::Kind::kNodeFenced,
-                           victim, backend_->committed_epoch() + 1));
-  recovering_ = true;
-  cluster_->set_degraded(true);
-  log_entry(control_record(
-      controlplane::ControlEntry::Kind::kRecoveryBegin, victim));
-
-  episode_ = Episode{};
-  episode_.start = sim_.now();
-  episode_.victims.push_back(victim);
-  episode_.lost = lost;
-  notify(JobEvent::Kind::Failure, victim);
-
-  const telemetry::Labels victim_labels{{"victim", std::to_string(victim)}};
-  episode_.span = tel.begin_span("recovery", victim_labels);
+  // The timeout that fired IS the detection.
+  open_episode(victim);
   tel.record_span("recovery.detect", sim_.now() - latency, sim_.now(),
-                  victim_labels, episode_.span);
+                  {{"victim", std::to_string(victim)}}, episode_.span);
   start_recovery_attempt();
 }
 
@@ -775,6 +708,38 @@ SimTime JobRunner::retry_backoff(std::uint32_t next_attempt) const {
          std::ldexp(1.0, static_cast<int>(next_attempt) - 2);
 }
 
+void JobRunner::retry_after(SimTime delay) {
+  // The next attempt waits out `delay` (detection still owed), then its
+  // backoff.
+  const SimTime backoff = retry_backoff(episode_.attempts + 1);
+  const SimTime from = sim_.now() + delay;
+  if (backoff > 0.0)
+    sim_.telemetry().record_span(
+        "recovery.retry", from, from + backoff,
+        {{"attempt", std::to_string(episode_.attempts + 1)}}, episode_.span);
+  episode_.pending = sim_.after(delay + backoff, [this] {
+    episode_.pending = simkit::kInvalidEvent;
+    start_recovery_attempt();
+  });
+}
+
+void JobRunner::revive_victims() {
+  // Oracle mode keeps the constant-cluster-size assumption behind the
+  // Section V model's flat T_r: the failed machines are rebooted/replaced
+  // by the time reconstruction starts, so recovery can re-place the lost
+  // VMs onto them. With wire-true detection a dead node stays down until
+  // a scripted repair or a false-positive rejoin brings it back — reviving
+  // it here would restart its heartbeats and fake a resurrection.
+  if (detector_) return;
+  for (cluster::NodeId nid : episode_.victims)
+    if (!cluster_->node(nid).alive()) {
+      cluster_->revive_node(nid);
+      if (control_) control_->on_node_rejoin(nid);
+      log_entry(control_record(
+          controlplane::ControlEntry::Kind::kNodeRejoined, nid));
+    }
+}
+
 void JobRunner::start_recovery_attempt() {
   VDC_ASSERT(recovering_ && !episode_.backend_active);
   auto& metrics = sim_.telemetry().metrics();
@@ -788,23 +753,9 @@ void JobRunner::start_recovery_attempt() {
     on_recovery_settled(rs);
     return;
   }
-  // Oracle mode keeps the constant-cluster-size assumption behind the
-  // Section V model's flat T_r: the failed machines are rebooted/replaced
-  // by the time reconstruction starts, so recovery can re-place the lost
-  // VMs onto them. With wire-true detection a dead node stays down until
-  // a scripted repair or a false-positive rejoin brings it back — reviving
-  // it here would restart its heartbeats and fake a resurrection. Revive
-  // BEFORE the leader gate below: the quorum may need these replicas back
-  // before it can elect the leader the attempt waits on.
-  if (!detector_) {
-    for (cluster::NodeId nid : episode_.victims)
-      if (!cluster_->node(nid).alive()) {
-        cluster_->revive_node(nid);
-        if (control_) control_->on_node_rejoin(nid);
-        log_entry(control_record(
-            controlplane::ControlEntry::Kind::kNodeRejoined, nid));
-      }
-  }
+  // Revive BEFORE the leader gate below: the quorum may need these
+  // replicas back before it can elect the leader the attempt waits on.
+  revive_victims();
 
   if (control_ && !control_->leader().has_value()) {
     // Leaderless: recovery decisions must be quorum-logged to be
@@ -859,30 +810,33 @@ void JobRunner::on_recovery_settled(const RecoveryStats& rs) {
       committed_work_ = std::max(0.0, committed_work_ - regress);
       notify(JobEvent::Kind::Rollback);
     }
-    recovering_ = false;
-    cluster_->set_degraded(false);
-    drain_rejoins();
-    // An attempt that settled trivially (everything already re-placed by
-    // an aborted predecessor) never went through the manager's resume;
-    // resume_all is idempotent for guests already running.
-    for (cluster::NodeId nid : cluster_->alive_nodes())
-      cluster_->node(nid).hypervisor().resume_all();
-    // Serving resumes; client-visible downtime keeps running until the
-    // first post-recovery response actually reaches a client.
-    if (traffic_) traffic_->on_failover_end();
-    computing_ = true;
-    resume_time_ = sim_.now();
-    work_at_resume_ = committed_work_;
-    advanced_work_ = committed_work_;
     notify(JobEvent::Kind::RecoverySettled, 0, true);
-    schedule_segment();
+    resume_job();
   } else {
     metrics.add("job.restarts", 1.0);
     VDC_INFO("runtime", "job restart at t=", sim_.now(), ": ", rs.reason);
     episode_.restarting = true;
     notify(JobEvent::Kind::RecoverySettled, 0, false);
-    restart_job(episode_.lost);
+    restart_job();
   }
+}
+
+void JobRunner::resume_job() {
+  recovering_ = false;
+  cluster_->set_degraded(false);
+  drain_rejoins();
+  // An attempt that settled trivially (everything already re-placed by
+  // an aborted predecessor) never went through the manager's resume;
+  // resuming is idempotent for guests already running.
+  cluster_->resume_guests();
+  // Serving resumes; client-visible downtime keeps running until the
+  // first post-recovery response actually reaches a client.
+  if (traffic_) traffic_->on_failover_end();
+  computing_ = true;
+  resume_time_ = sim_.now();
+  work_at_resume_ = committed_work_;
+  advanced_work_ = committed_work_;
+  schedule_segment();
 }
 
 void JobRunner::notify(JobEvent::Kind kind, cluster::NodeId node,
@@ -897,37 +851,18 @@ void JobRunner::notify(JobEvent::Kind kind, cluster::NodeId node,
   job_.observer(ev);
 }
 
-void JobRunner::restart_job(const std::vector<vm::VmId>& missing) {
+void JobRunner::restart_job() {
   // Unrecoverable: re-create whatever is gone with fresh images and start
   // the job over. Victims that never made it through a reconstruction
   // attempt (give-up path) are still down; in oracle mode bring the
-  // hardware back first (wire mode leaves them down — see
-  // start_recovery_attempt).
+  // hardware back first (see revive_victims).
   ++recovery_wait_seq_;  // any deferred attempt is now stale
-  if (!detector_) {
-    for (cluster::NodeId nid : episode_.victims)
-      if (!cluster_->node(nid).alive()) {
-        cluster_->revive_node(nid);
-        if (control_) control_->on_node_rejoin(nid);
-        log_entry(control_record(
-            controlplane::ControlEntry::Kind::kNodeRejoined, nid));
-      }
-  }
+  revive_victims();
   log_entry(control_record(
       controlplane::ControlEntry::Kind::kJobRestart, 0));
   auto workloads = make_workload_factory(cluster_config_);
-  for (vm::VmId vmid : missing) {
+  for (vm::VmId vmid : episode_.lost) {
     if (cluster_->locate(vmid).has_value()) continue;
-    // Least-loaded alive node.
-    cluster::NodeId target = cluster_->alive_nodes().front();
-    std::size_t best = ~std::size_t{0};
-    for (cluster::NodeId nid : cluster_->alive_nodes()) {
-      const std::size_t load = cluster_->node(nid).hypervisor().vm_count();
-      if (load < best) {
-        best = load;
-        target = nid;
-      }
-    }
     auto machine = std::make_unique<vm::VirtualMachine>(
         vmid, "vm" + std::to_string(vmid), cluster_config_.page_size,
         cluster_config_.pages_per_vm, workloads(vmid));
@@ -935,15 +870,13 @@ void JobRunner::restart_job(const std::vector<vm::VmId>& missing) {
     machine->image().fill_random(boot);
     machine->image().clear_dirty();
     machine->pause();
-    cluster_->place(std::move(machine), target);
+    cluster_->place(std::move(machine), cluster_->least_loaded_node());
   }
   backend_->on_job_restart();
   // Epoch numbering starts over with the fresh job; any held egress is
   // from an execution that no longer exists.
   if (traffic_) traffic_->on_restart();
   committed_work_ = 0.0;
-  work_at_resume_ = 0.0;
-  advanced_work_ = 0.0;
   notify(JobEvent::Kind::Restart);
 
   // `recovering_` stays up through the restart window so a failure in it
@@ -951,15 +884,7 @@ void JobRunner::restart_job(const std::vector<vm::VmId>& missing) {
   // in, restart again).
   episode_.pending = sim_.after(job_.restart_time, [this] {
     episode_.pending = simkit::kInvalidEvent;
-    for (cluster::NodeId nid : cluster_->alive_nodes())
-      cluster_->node(nid).hypervisor().resume_all();
-    recovering_ = false;
-    cluster_->set_degraded(false);
-    drain_rejoins();
-    if (traffic_) traffic_->on_failover_end();
-    computing_ = true;
-    resume_time_ = sim_.now();
-    schedule_segment();
+    resume_job();
   });
 }
 

@@ -272,6 +272,16 @@ class JobRunner {
   /// is an exact node id (scripted / per-node injectors); otherwise it is
   /// an index mapped onto the currently-alive set.
   void on_failure_event(cluster::NodeId raw_victim, bool exact);
+  /// Kill `victim` and drop its backend state; reset its control replica
+  /// unless it is a zombie (alive behind a partition). Logs kNodeFailed
+  /// and returns the VMs it hosted.
+  std::vector<vm::VmId> take_down(cluster::NodeId victim);
+  /// Fence `victim` with the next epoch's token and log kNodeFenced.
+  void fence(cluster::NodeId victim);
+  /// Healthy-state failure: charge the lost work, stop the segment and any
+  /// in-flight checkpoint, take the victim down (fencing it in wire mode),
+  /// then log kRecoveryBegin and open a fresh episode and its root span.
+  void open_episode(cluster::NodeId victim);
   /// A failure struck while an episode was open: kill the victim, abort
   /// any in-flight reconstruction, extend the lost-set, requeue.
   /// `already_detected` marks a suspicion folding in (the detector's
@@ -296,9 +306,19 @@ class JobRunner {
   void start_recovery_attempt();
   void on_recovery_settled(const RecoveryStats& rs);
   SimTime retry_backoff(std::uint32_t next_attempt) const;
+  /// Arm the next reconstruction attempt after `delay` plus its backoff,
+  /// recording the backoff as a recovery.retry span.
+  void retry_after(SimTime delay);
+  /// Oracle mode: bring the episode's dead victims back empty.
+  void revive_victims();
+  /// End the episode: clear degraded mode, reconcile deferred rejoins,
+  /// resume guests and serving from the committed cut, next segment.
+  void resume_job();
   void notify(JobEvent::Kind kind, cluster::NodeId node = 0,
               bool success = false);
-  void restart_job(const std::vector<vm::VmId>& missing);
+  /// Re-create the episode's lost VMs with fresh images and start the job
+  /// over once the restart penalty elapses.
+  void restart_job();
   SimTime current_work() const;
   void settle_workloads();
   /// Append a control record through the plane's current leader, queuing

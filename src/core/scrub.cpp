@@ -53,14 +53,19 @@ void ParityScrubber::scrub(const PlacedPlan& plan, bool repair,
     ctx->done(ctx->report);
   };
 
+  // Each check holds a recomputed stripe and is shared by its group's
+  // member x holder stream callbacks, so it is held once and never copied.
   struct GroupCheck {
-    GroupId gid;
-    cluster::NodeId primary_holder;
+    GroupCheck() = default;
+    GroupCheck(const GroupCheck&) = delete;
+    GroupCheck& operator=(const GroupCheck&) = delete;
+
+    GroupId gid = 0;
     std::vector<parity::Block> expected;
     std::size_t flows = 0;
     Bytes block_size = 0;
   };
-  std::vector<GroupCheck> checks;
+  std::vector<std::shared_ptr<const GroupCheck>> checks;
 
   for (const auto& group : plan.plan.groups) {
     const DvdcState::ParityRecord* record = state_.parity(group.id);
@@ -76,10 +81,9 @@ void ParityScrubber::scrub(const PlacedPlan& plan, bool repair,
     if (state_.fold_in_flight()) continue;
 
     // Gather the members' committed checkpoints and recompute the stripe.
-    GroupCheck check;
-    check.gid = group.id;
-    check.primary_holder = record->holders.front();
-    check.block_size = record->block_size;
+    auto check = std::make_shared<GroupCheck>();
+    check->gid = group.id;
+    check->block_size = record->block_size;
     std::vector<parity::Block> padded;
     std::vector<parity::BlockView> views;
     bool complete = true;
@@ -101,8 +105,8 @@ void ParityScrubber::scrub(const PlacedPlan& plan, bool repair,
     for (const auto& p : padded) views.emplace_back(p);
     auto codec = make_codec(record->scheme, group.members.size(),
                             record->blocks.size());
-    check.expected = codec->encode(views);
-    check.flows = group.members.size() * record->holders.size();
+    check->expected = codec->encode(views);
+    check->flows = group.members.size() * record->holders.size();
     checks.push_back(std::move(check));
   }
 
@@ -115,23 +119,23 @@ void ParityScrubber::scrub(const PlacedPlan& plan, bool repair,
   // Timed execution: per group, the members stream their blocks to each
   // holder, the holder re-XORs and compares.
   ctx->pending = checks.size();
-  for (auto& check : checks) {
-    const DvdcState::ParityRecord* record = state_.parity(check.gid);
+  for (const auto& check : checks) {
+    const DvdcState::ParityRecord* record = state_.parity(check->gid);
     VDC_ASSERT(record != nullptr);
 
-    auto flows_left = std::make_shared<std::size_t>(check.flows);
+    auto flows_left = std::make_shared<std::size_t>(check->flows);
     auto finish_group = [this, ctx, check, repair, complete] {
-      const DvdcState::ParityRecord* record = state_.parity(check.gid);
+      const DvdcState::ParityRecord* record = state_.parity(check->gid);
       if (record == nullptr) {  // plan changed underneath us
         if (--ctx->pending == 0) complete();
         return;
       }
-      bool match = record->blocks == check.expected;
+      bool match = record->blocks == check->expected;
       for (const auto& block : record->blocks)
         ctx->report.bytes_verified += block.size();
       if (!match) {
-        ctx->report.mismatched.push_back(check.gid);
-        VDC_INFO("scrub", "parity mismatch in group ", check.gid);
+        ctx->report.mismatched.push_back(check->gid);
+        VDC_INFO("scrub", "parity mismatch in group ", check->gid);
         if (repair && (cluster_.degraded() || state_.fold_in_flight())) {
           // A recovery episode is rewriting stripes, or the coordinator
           // is folding deltas into them in place; a repair write would
@@ -139,29 +143,29 @@ void ParityScrubber::scrub(const PlacedPlan& plan, bool repair,
           sim_.telemetry().metrics().add("scrub.deferred_repairs", 1.0);
         } else if (repair) {
           DvdcState::ParityRecord fixed = *record;
-          fixed.blocks = check.expected;
-          state_.set_parity(check.gid, std::move(fixed));
+          fixed.blocks = check->expected;
+          state_.set_parity(check->gid, std::move(fixed));
           ++ctx->report.repaired;
         }
       }
       if (--ctx->pending == 0) complete();
     };
 
-    const auto& group = plan.plan.groups[check.gid];
+    const auto& group = plan.plan.groups[check->gid];
     for (cluster::NodeId holder : record->holders) {
       const net::HostId dst = cluster_.node(holder).host();
       for (vm::VmId member : group.members) {
         const auto loc = cluster_.locate(member);
         VDC_ASSERT(loc.has_value());
         const net::HostId src = cluster_.node(*loc).host();
-        ctx->report.bytes_streamed += check.block_size;
+        ctx->report.bytes_streamed += check->block_size;
         const auto on_done = [this, holder, check, flows_left,
                               finish_group] {
           if (--*flows_left > 0) return;
           // All streams in: charge the re-encode (k blocks per holder).
-          const std::size_t k = check.flows / check.expected.size();
+          const std::size_t k = check->flows / check->expected.size();
           const double xor_time =
-              static_cast<double>(check.block_size * k) /
+              static_cast<double>(check->block_size * k) /
               cluster_.node(holder).spec().xor_rate;
           sim_.after(xor_time, finish_group);
         };
@@ -171,7 +175,8 @@ void ParityScrubber::scrub(const PlacedPlan& plan, bool repair,
           // Scrub verification rides the same chunked plane as the epoch
           // exchange; the stream keeps itself alive until completion.
           net::ChunkedStream::start(cluster_.fabric(), src, dst,
-                                    check.block_size, chunking_, {}, on_done);
+                                    check->block_size, chunking_, {},
+                                    on_done);
         }
       }
     }

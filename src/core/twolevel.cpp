@@ -121,8 +121,7 @@ void TwoLevelBackend::level2_restore(RecoveryDone done) {
   const SimTime start = sim_.now();
   const std::uint64_t rgen = ++restore_generation_;
   restore_active_ = true;
-  for (cluster::NodeId nid : cluster_.alive_nodes())
-    cluster_.node(nid).hypervisor().pause_all();
+  cluster_.pause_guests();
 
   // Re-create whatever is missing and roll everything back to the durable
   // images (content now; the NAS read time is charged below).
@@ -130,17 +129,7 @@ void TwoLevelBackend::level2_restore(RecoveryDone done) {
   for (const auto& [vmid, payload] : durable_) {
     auto loc = cluster_.locate(vmid);
     if (!loc.has_value()) {
-      // Least-loaded alive node hosts the re-created guest.
-      cluster::NodeId target = cluster_.alive_nodes().front();
-      std::size_t best = ~std::size_t{0};
-      for (cluster::NodeId nid : cluster_.alive_nodes()) {
-        const std::size_t load =
-            cluster_.node(nid).hypervisor().vm_count();
-        if (load < best) {
-          best = load;
-          target = nid;
-        }
-      }
+      const cluster::NodeId target = cluster_.least_loaded_node();
       const VmInfo& info = durable_info_.at(vmid);
       auto machine = std::make_unique<vm::VirtualMachine>(
           vmid, info.name, info.page_size, info.page_count,
@@ -184,8 +173,7 @@ void TwoLevelBackend::level2_restore(RecoveryDone done) {
       flushed_counter_ = 0;
       ++level2_restores_;
       sim_.telemetry().metrics().add("twolevel.level2_restores", 1.0);
-      for (cluster::NodeId nid : cluster_.alive_nodes())
-        cluster_.node(nid).hypervisor().resume_all();
+      cluster_.resume_guests();
       RecoveryStats rs;
       rs.success = true;
       rs.epochs_rolled_back = rolled_back;

@@ -113,6 +113,11 @@ class Simulator {
   /// Tombstone compactions performed (`sim.queue.compactions`).
   std::uint64_t compactions() const { return compactions_; }
 
+  /// Mirror the queue counters into the metrics registry. run() and
+  /// run_until() call it at their end; a caller driving step() itself
+  /// calls it once when done (not per event — scheduling stays cheap).
+  void publish_metrics();
+
  private:
   // Queue key = (sequence << kSlotBits) | slot: 2^24 events pending at
   // once, 2^40 scheduled over a simulator's life, in a 16-byte entry.
@@ -145,9 +150,6 @@ class Simulator {
 
   /// Rebuild the queue from live events once tombstones dominate.
   void maybe_compact();
-  /// Mirror the queue counters into the metrics registry (called at the
-  /// end of run()/run_until(), not per event — scheduling stays cheap).
-  void publish_metrics();
 
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 1;

@@ -92,6 +92,31 @@ TEST(ClusterManager, AdvanceWorkloadsSkipsDeadNodes) {
   EXPECT_DOUBLE_EQ(rig.cluster.machine(a).cpu_time(), 1.0);
 }
 
+TEST(ClusterManager, LeastLoadedNodeSkipsDeadNodesAndTiesGoLow) {
+  Rig rig;
+  rig.cluster.boot_vm(0, kib(4), 8, idle());
+  EXPECT_EQ(rig.cluster.least_loaded_node(), 1u);  // 1 and 2 tie at zero
+  rig.cluster.boot_vm(1, kib(4), 8, idle());
+  EXPECT_EQ(rig.cluster.least_loaded_node(), 2u);
+  rig.cluster.kill_node(2);
+  EXPECT_EQ(rig.cluster.least_loaded_node(), 0u);  // 0 and 1 tie at one
+  rig.cluster.kill_node(0);
+  rig.cluster.kill_node(1);
+  EXPECT_THROW(rig.cluster.least_loaded_node(), ConfigError);
+}
+
+TEST(ClusterManager, PauseAndResumeGuestsCoverEveryLiveNode) {
+  Rig rig;
+  const auto a = rig.cluster.boot_vm(0, kib(4), 8, idle());
+  const auto b = rig.cluster.boot_vm(1, kib(4), 8, idle());
+  rig.cluster.pause_guests();
+  EXPECT_EQ(rig.cluster.machine(a).state(), vm::VmState::Paused);
+  EXPECT_EQ(rig.cluster.machine(b).state(), vm::VmState::Paused);
+  rig.cluster.resume_guests();
+  EXPECT_EQ(rig.cluster.machine(a).state(), vm::VmState::Running);
+  EXPECT_EQ(rig.cluster.machine(b).state(), vm::VmState::Running);
+}
+
 TEST(ClusterManager, GuestBytesAccounting) {
   Rig rig;
   rig.cluster.boot_vm(0, kib(4), 16, idle());

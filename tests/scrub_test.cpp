@@ -27,7 +27,8 @@ struct Rig {
   std::optional<PlacedPlan> placed;
 
   Rig(std::uint32_t nodes = 4, std::uint32_t vms = 2,
-      ParityScheme scheme = ParityScheme::Raid5, std::uint32_t k = 0) {
+      ParityScheme scheme = ParityScheme::Raid5, std::uint32_t k = 0,
+      PlannerConfig::Layout layout = PlannerConfig::Layout::Orthogonal) {
     for (std::uint32_t n = 0; n < nodes; ++n) cluster.add_node();
     for (std::uint32_t n = 0; n < nodes; ++n)
       for (std::uint32_t v = 0; v < vms; ++v)
@@ -38,6 +39,7 @@ struct Rig {
     scrubber = std::make_unique<ParityScrubber>(sim, cluster, state);
     PlannerConfig planner;
     planner.group_size = k != 0 ? k : nodes - 1;
+    planner.layout = layout;
     placed = PlacedPlan::make(GroupPlanner(planner).plan(cluster), cluster,
                               scheme);
   }
@@ -173,6 +175,30 @@ TEST(Scrub, WorksAcrossSchemes) {
     EXPECT_EQ(report.mismatched.size(), 1u);
     EXPECT_TRUE(rig.scrub(false).clean());
   }
+}
+
+TEST(Scrub, Rs12Plus2DeclusteredStripesVerifyAndRepair) {
+  // The wide-stripe shape of the rebuild benchmark: RS(12+2) groups
+  // declustered over 16 nodes, so every group streams 12 x 2 member ->
+  // holder flows that all share the group's one recomputed stripe.
+  Rig rig(16, 3, ParityScheme::Rs, /*k=*/12,
+          PlannerConfig::Layout::Declustered);
+  ASSERT_EQ(rig.placed->plan.groups.size(), 4u);
+  rig.checkpoint(1);
+  for (const auto& group : rig.placed->plan.groups) {
+    EXPECT_EQ(group.members.size(), 12u);
+    EXPECT_EQ(rig.state.parity(group.id)->blocks.size(), 2u);
+  }
+  const auto clean = rig.scrub(false);
+  EXPECT_TRUE(clean.clean());
+  EXPECT_EQ(clean.groups_checked, 4u);
+
+  ASSERT_TRUE(rig.scrubber->inject_corruption(2, 1, 5));
+  const auto report = rig.scrub(true);
+  ASSERT_EQ(report.mismatched.size(), 1u);
+  EXPECT_EQ(report.mismatched[0], 2u);
+  EXPECT_EQ(report.repaired, 1u);
+  EXPECT_TRUE(rig.scrub(false).clean());
 }
 
 TEST(Scrub, InjectionBoundsChecked) {

@@ -2,8 +2,7 @@
 // byte-identical to the materializing encoders, and the incremental
 // readers must decode any chunking of a frame — down to 1-byte chunks and
 // a split at every offset — to exactly the same folds, while rejecting
-// every single-bit corruption and surviving a mid-record abort. Also
-// covers the ChunkPolicy env-override validation.
+// every single-bit corruption and surviving a mid-record abort.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +12,6 @@
 #include "checkpoint/delta.hpp"
 #include "checkpoint/stream.hpp"
 #include "checkpoint/wire.hpp"
-#include "net/chunked_stream.hpp"
 
 namespace vdc::checkpoint {
 namespace {

@@ -573,12 +573,6 @@ TEST(MetricCatalog, EveryEmittedSeriesIsDocumented) {
        "needs a failure to land inside an epoch's exchange window"},
       {"plan.groups_reused",
        "needs a replan over a plan whose groups lost orthogonality"},
-      {"sim.events.cancelled",
-       "JobRunner drives step(); only run()/run_until() publish it"},
-      {"sim.queue.peak",
-       "JobRunner drives step(); only run()/run_until() publish it"},
-      {"sim.queue.compactions",
-       "JobRunner drives step(); only run()/run_until() publish it"},
       {"net.retransmits", "needs a stream chunk dropped or corrupted"},
       {"net.corrupt_frames", "needs a corrupting link fault"},
   };
